@@ -251,7 +251,9 @@ void Site::Recover() {
                        rs.pages_quarantined));
   }
 
-  auto scan = wal_.Scan();
+  // One pass over the protocol log, in TxnId order; redo, the decision
+  // cache, the in-doubt set and the unended decisions all derive from it.
+  const auto scan = wal_.Scan();
   // Redo: apply committed-but-unapplied writes from prepared records
   // (the crash hit between logging/learning the decision and applying).
   // Store versioning makes re-application idempotent.
@@ -272,16 +274,18 @@ void Site::Recover() {
     if (st.decided) decided_cache_[txn] = st.commit;
   }
   // Reinstate in-doubt (prepared, undecided) transactions.
-  for (const WalRecord& rec : wal_.InDoubt()) {
-    bool precommitted = scan.at(rec.txn).precommitted;
+  for (const auto& [txn, st] : scan) {
+    if (!st.in_doubt()) continue;
     Trace(TraceCategory::kAcp,
-          rec.txn.ToString() + " reinstated in doubt after recovery");
-    participants_->ReinstateInDoubt(rec, precommitted);
+          txn.ToString() + " reinstated in doubt after recovery");
+    participants_->ReinstateInDoubt(st.prepared_record, st.precommitted);
   }
   // Re-propagate decisions this site made as coordinator but never
   // finished acknowledging.
-  for (const auto& d : wal_.DecidedUnended()) {
-    StartCloser(d.txn, d.commit, d.participants);
+  for (const auto& [txn, st] : scan) {
+    if (st.unended_decision()) {
+      StartCloser(txn, st.commit, st.decision_participants);
+    }
   }
   // Refresh item copies from a live peer.
   if (env_.config->recovery_refresh) {

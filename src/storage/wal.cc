@@ -45,12 +45,12 @@ const char* WalRecordKindName(WalRecordKind k) {
 
 Lsn Wal::Append(WalRecord record) {
   Lsn lsn = NextLsn();
-  IndexRecord(record, lsn);
+  if (ProtoState* st = IndexRecord(record, lsn)) TrackOpen(record.txn, *st);
   records_.push_back(std::move(record));
   return lsn;
 }
 
-void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
+Wal::ProtoState* Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
   switch (record.kind) {
     case WalRecordKind::kPrepared:
     case WalRecordKind::kPreCommitted:
@@ -60,10 +60,12 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
     case WalRecordKind::kEnd:
       break;
     default:
-      return;  // storage records carry no protocol state
+      return nullptr;  // storage records carry no protocol state
   }
+  // Records are indexed in LSN order (and a loaded digest only covers
+  // the truncated prefix), so the first record indexed is the first.
   ProtoState& st = proto_index_[record.txn];
-  if (st.first_lsn == kNoLsn || lsn < st.first_lsn) st.first_lsn = lsn;
+  if (st.first_lsn == kNoLsn) st.first_lsn = lsn;
   switch (record.kind) {
     case WalRecordKind::kPrepared:
       st.prepared = true;
@@ -90,6 +92,51 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
     default:
       break;
   }
+  return &st;
+}
+
+void Wal::TrackOpen(const TxnId& txn, ProtoState& st) {
+  if (!st.Closed()) {
+    if (st.queued) return;
+    st.queued = true;
+    if (open_head_ == open_.size() || open_.back().first < st.first_lsn) {
+      open_.emplace_back(st.first_lsn, txn);
+      return;
+    }
+    // Reopened after its entry was popped: back into first_lsn order.
+    auto pos = std::upper_bound(
+        open_.begin() + static_cast<ptrdiff_t>(open_head_), open_.end(),
+        st.first_lsn,
+        [](Lsn lsn, const std::pair<Lsn, TxnId>& e) { return lsn < e.first; });
+    open_.emplace(pos, st.first_lsn, txn);
+    return;
+  }
+  // The front was open before this record, so only closing the front
+  // itself can expose closed entries there; pop them all.
+  if (!st.queued || open_[open_head_].second != txn) return;
+  st.queued = false;
+  ++open_head_;
+  while (open_head_ < open_.size()) {
+    ProtoState& front = proto_index_.find(open_[open_head_].second)->second;
+    if (!front.Closed()) break;
+    front.queued = false;
+    ++open_head_;
+  }
+  if (open_head_ * 2 > open_.size()) {
+    open_.erase(open_.begin(),
+                open_.begin() + static_cast<ptrdiff_t>(open_head_));
+    open_head_ = 0;
+  }
+}
+
+void Wal::RebuildOpenQueue() {
+  open_.clear();
+  open_head_ = 0;
+  for (auto& [txn, st] : proto_index_) {
+    st.queued = !st.Closed();
+    if (st.queued) open_.emplace_back(st.first_lsn, txn);
+  }
+  std::sort(open_.begin(), open_.end());
 }
 
 size_t Wal::TruncateBefore(Lsn lsn) {
@@ -108,32 +155,18 @@ size_t Wal::TruncateBefore(Lsn lsn) {
   return drop;
 }
 
-Lsn Wal::ProtocolBarrier() const {
-  Lsn barrier = NextLsn();
-  for (const auto& [txn, st] : proto_index_) {
-    if (!st.Closed() && st.first_lsn != kNoLsn && st.first_lsn < barrier) {
-      barrier = st.first_lsn;
-    }
-  }
-  return barrier;
-}
-
 bool Wal::IsPreparedUndecided(const TxnId& txn) const {
   auto it = proto_index_.find(txn);
   return it != proto_index_.end() && it->second.prepared &&
          !it->second.decided;
 }
 
-std::unordered_map<TxnId, Wal::TxnLogState> Wal::Scan() const {
-  std::unordered_map<TxnId, TxnLogState> out;
-  // Seed from the per-transaction digest so transactions whose records
-  // were head-truncated still report their (closed) protocol state —
-  // recovery's decision-cache rebuild must see the same answers before
-  // and after a truncation. The record walk below then overlays the
-  // payload-bearing fields (prepared_record, decision_participants),
-  // which only recovery paths for non-truncatable transactions read.
+std::map<TxnId, Wal::TxnLogState> Wal::Scan() const {
+  std::map<TxnId, TxnLogState> out;
+  // The digest holds every transaction's cumulative bits, truncated or
+  // not, and is already in TxnId order: every insert lands at the end.
   for (const auto& [txn, st] : proto_index_) {
-    TxnLogState& s = out[txn];
+    TxnLogState& s = out.emplace_hint(out.end(), txn, TxnLogState{})->second;
     s.prepared = st.prepared;
     s.precommitted = st.precommitted;
     s.decided = st.decided;
@@ -141,47 +174,19 @@ std::unordered_map<TxnId, Wal::TxnLogState> Wal::Scan() const {
     s.applied = st.applied;
     s.ended = st.ended;
   }
+  // Overlay the payloads, which only the retained records carry.
   for (const WalRecord& r : records_) {
     switch (r.kind) {
-      case WalRecordKind::kPrepared: {
-        TxnLogState& st = out[r.txn];
-        st.prepared = true;
-        st.prepared_record = r;
+      case WalRecordKind::kPrepared:
+        out[r.txn].prepared_record = r;
         break;
-      }
-      case WalRecordKind::kPreCommitted:
-        out[r.txn].precommitted = true;
+      case WalRecordKind::kCommitDecision:
+      case WalRecordKind::kAbortDecision:
+        if (!r.participants.empty()) {
+          out[r.txn].decision_participants = r.participants;
+        }
         break;
-      case WalRecordKind::kCommitDecision: {
-        TxnLogState& st = out[r.txn];
-        st.decided = true;
-        st.commit = true;
-        if (!r.participants.empty()) st.decision_participants = r.participants;
-        break;
-      }
-      case WalRecordKind::kAbortDecision: {
-        TxnLogState& st = out[r.txn];
-        st.decided = true;
-        st.commit = false;
-        if (!r.participants.empty()) st.decision_participants = r.participants;
-        break;
-      }
-      case WalRecordKind::kApplied:
-        out[r.txn].applied = true;
-        break;
-      case WalRecordKind::kEnd:
-        out[r.txn].ended = true;
-        break;
-      case WalRecordKind::kStoreBegin:
-      case WalRecordKind::kStoreUpdate:
-      case WalRecordKind::kStoreCommit:
-      case WalRecordKind::kStoreAbort:
-      case WalRecordKind::kStoreClr:
-      case WalRecordKind::kStoreEnd:
-      case WalRecordKind::kCheckpointBegin:
-      case WalRecordKind::kCheckpointEnd:
-        // Storage-engine records are not protocol state; the page
-        // engine's restart analysis scans them itself.
+      default:
         break;
     }
   }
@@ -190,31 +195,19 @@ std::unordered_map<TxnId, Wal::TxnLogState> Wal::Scan() const {
 
 std::vector<WalRecord> Wal::InDoubt() const {
   std::vector<WalRecord> out;
-  // RAINBOW_LINT(allow:D1 reason=result is sorted by TxnId below)
   for (const auto& [txn, st] : Scan()) {
-    if (st.prepared && !st.decided) {
-      out.push_back(st.prepared_record);
-    }
+    if (st.in_doubt()) out.push_back(st.prepared_record);
   }
-  // Scan() iterates a hash map; sort so recovery reinstates in-doubt
-  // transactions in one canonical (TxnId) order on every run.
-  std::sort(out.begin(), out.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.txn < b.txn; });
   return out;
 }
 
 std::vector<Wal::UnendedDecision> Wal::DecidedUnended() const {
   std::vector<UnendedDecision> out;
-  // RAINBOW_LINT(allow:D1 reason=result is sorted by TxnId below)
   for (const auto& [txn, st] : Scan()) {
-    if (st.decided && !st.ended && !st.decision_participants.empty()) {
+    if (st.unended_decision()) {
       out.push_back(UnendedDecision{txn, st.commit, st.decision_participants});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const UnendedDecision& a, const UnendedDecision& b) {
-              return a.txn < b.txn;
-            });
   return out;
 }
 
@@ -420,6 +413,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
     proto_index_.clear();
     Lsn lsn = 0;
     for (const WalRecord& r : records_) IndexRecord(r, ++lsn);
+    RebuildOpenQueue();
     return Status::OK();
   }
   // A header cut short never finished its very first save; even the
@@ -447,6 +441,12 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
       if (!flags_r.ok()) return header_err();
       Result<uint64_t> first = d.GetU64();
       if (!first.ok()) return header_err();
+      // Only transactions whose first record was truncated are in the
+      // digest; anything else is a corrupt header.
+      if (first.value() == kNoLsn || first.value() > base) {
+        return tolerant ? Status::IoError("bad WAL digest entry")
+                        : Status::InvalidArgument("bad WAL digest entry");
+      }
       uint8_t flags = flags_r.value();
       ProtoState st;
       st.first_lsn = first.value();
@@ -529,10 +529,11 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   master_ = std::min<Lsn>(master, LastLsn());
   if (master_ <= base_) master_ = kNoLsn;
   // Digest entries cover the truncated prefix; retained records rebuild
-  // the rest incrementally, min-merging first_lsn where both exist.
+  // the rest incrementally, keeping a digest entry's earlier first_lsn.
   proto_index_ = std::move(digest);
   Lsn lsn = base_;
   for (const WalRecord& r : records_) IndexRecord(r, ++lsn);
+  RebuildOpenQueue();
   if (dropped != nullptr) *dropped = drop;
   return Status::OK();
 }

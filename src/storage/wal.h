@@ -4,7 +4,6 @@
 #include <cassert>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -122,6 +121,11 @@ struct WalRecord {
 /// records interleave with the protocol records in one LSN space.
 class Wal {
  public:
+  /// Sizes the open queue up front for a site's usual number of
+  /// concurrently open transactions, so a running session never grows
+  /// it.
+  Wal() { open_.reserve(kOpenQueueReserve); }
+
   /// Appends and returns the record's LSN (1-based, truncation-stable).
   Lsn Append(WalRecord record);
 
@@ -165,8 +169,12 @@ class Wal {
   /// decided but not yet applied/acknowledged). NextLsn() when every
   /// logged transaction is closed. Head truncation must never pass
   /// this point, or InDoubt()/DecidedUnended() would lose records they
-  /// still have to return.
-  Lsn ProtocolBarrier() const;
+  /// still have to return. O(1): the front of the open queue (see
+  /// open_), so a checkpoint's cost does not grow with the log's
+  /// history.
+  Lsn ProtocolBarrier() const {
+    return open_head_ < open_.size() ? open_[open_head_].first : NextLsn();
+  }
 
   /// LSN of the kCheckpointBegin record of the last COMPLETE checkpoint
   /// (the ARIES "master record"); kNoLsn before the first one. Restart
@@ -192,27 +200,35 @@ class Wal {
     /// Non-empty iff this site logged the decision as the coordinator
     /// (coordinator decision records carry the participant list).
     std::vector<SiteId> decision_participants;
+
+    /// Prepared (voted YES) but the outcome never learned.
+    bool in_doubt() const { return prepared && !decided; }
+    /// Decided as coordinator but never closed with an End record.
+    bool unended_decision() const {
+      return decided && !ended && !decision_participants.empty();
+    }
   };
 
-  /// Scans the log and summarizes every transaction that appears in it.
-  /// Storage-engine records (kStore*) are invisible here — the page
-  /// engine's restart pass scans them separately. Transactions whose
-  /// records were head-truncated still appear, reconstructed from the
-  /// incremental digest (truncation only ever drops closed
-  /// transactions' records, so the digest bits are the whole story;
-  /// prepared_record / decision_participants are only populated from
-  /// retained records, which is exactly the set recovery dereferences).
-  std::unordered_map<TxnId, TxnLogState> Scan() const;
+  /// Summarizes every transaction that appears in the log, in TxnId
+  /// order, so recovery that walks the result acts in one canonical
+  /// order on every run. The protocol bits come from the incremental
+  /// digest (proto_index_), so transactions whose records were
+  /// head-truncated still appear with their (closed) state; one pass
+  /// over the retained records then fills in prepared_record and
+  /// decision_participants — truncation only ever drops closed
+  /// transactions' records, which is exactly the set recovery never
+  /// dereferences. Storage-engine records (kStore*) are invisible here;
+  /// the page engine's restart pass scans them separately.
+  std::map<TxnId, TxnLogState> Scan() const;
 
   /// Transactions that this site prepared (voted YES) but whose outcome
   /// it never learned — the "in doubt" set the recovery protocol must
-  /// resolve. Sorted by TxnId so recovery reinstates in a canonical
-  /// order regardless of the scan's hash-map iteration order.
+  /// resolve. In TxnId order (Scan()'s order).
   std::vector<WalRecord> InDoubt() const;
 
   /// Decisions this site (as coordinator) logged but never closed with
   /// an End record; after recovery the decision must be re-propagated to
-  /// the recorded participants. Sorted by TxnId (see InDoubt()).
+  /// the recorded participants. In TxnId order (Scan()'s order).
   struct UnendedDecision {
     TxnId txn;
     bool commit = false;
@@ -265,9 +281,13 @@ class Wal {
     bool applied = false;
     bool ended = false;
     bool coordinator = false;
+    /// The transaction has an entry in open_ at or after open_head_.
+    bool queued = false;
 
     /// A closed transaction's records are safe to truncate: the digest
-    /// alone answers every later query about it.
+    /// alone answers every later query about it. Not monotone: a
+    /// kPrepared record or a coordinator decision logged after the
+    /// transaction closed reopens it.
     bool Closed() const {
       return decided && (!prepared || applied) && (!coordinator || ended);
     }
@@ -275,16 +295,35 @@ class Wal {
 
   Status DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                          size_t* dropped);
-  void IndexRecord(const WalRecord& record, Lsn lsn);
+  /// Folds one record into proto_index_; returns its transaction's
+  /// digest entry, or nullptr for records that carry no protocol state.
+  ProtoState* IndexRecord(const WalRecord& record, Lsn lsn);
+  /// Keeps open_ in step after `txn`'s state changed by one record.
+  void TrackOpen(const TxnId& txn, ProtoState& st);
+  /// Recomputes open_ from proto_index_ (load paths).
+  void RebuildOpenQueue();
 
   std::vector<WalRecord> records_;
   /// Records reclaimed from the head; records_[i] has LSN base_ + i + 1.
   Lsn base_ = 0;
   Lsn master_ = kNoLsn;
-  /// Incremental per-transaction protocol digest (see ProtoState).
-  /// Survives truncation; serialized for transactions whose records
-  /// were truncated so a saved log reloads with identical Scan() state.
+  /// Incremental per-transaction protocol digest (see ProtoState), one
+  /// entry for every transaction ever logged. Survives truncation;
+  /// serialized for transactions whose records were truncated so a
+  /// saved log reloads with identical Scan() state.
   std::map<TxnId, ProtoState> proto_index_;
+  /// The open transactions as (first_lsn, txn), ascending by first_lsn
+  /// from open_head_ on — the ARIES active-transaction table for the
+  /// commit protocol. A new transaction's first LSN is the newest one,
+  /// so it is pushed at the tail; a reopened one is inserted back in
+  /// first_lsn order. Entries that close behind an open front stay
+  /// until they reach it, so the front is always open and
+  /// ProtocolBarrier() just reads it. Popping advances open_head_; the
+  /// popped prefix is compacted in place once it passes half the
+  /// vector, so the steady state allocates nothing.
+  std::vector<std::pair<Lsn, TxnId>> open_;
+  size_t open_head_ = 0;
+  static constexpr size_t kOpenQueueReserve = 32;
 };
 
 }  // namespace rainbow

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <random>
 
 #include "storage/local_store.h"
 #include "storage/wal.h"
@@ -655,6 +657,159 @@ TEST(WalTest, ProtocolBarrierTracksOpenTransactions) {
   EXPECT_EQ(wal.ProtocolBarrier(), prep);  // decided but not applied
   wal.Append(Decision(WalRecordKind::kApplied, part));
   EXPECT_EQ(wal.ProtocolBarrier(), wal.NextLsn());  // everything closed
+}
+
+// Reference for Wal::ProtocolBarrier(): a full walk over every
+// transaction ever logged, which the open queue must match exactly.
+struct RefTxn {
+  Lsn first_lsn = kNoLsn;
+  bool prepared = false;
+  bool decided = false;
+  bool applied = false;
+  bool ended = false;
+  bool coordinator = false;
+  bool Closed() const {
+    return decided && (!prepared || applied) && (!coordinator || ended);
+  }
+};
+
+Lsn ReferenceBarrier(const std::map<TxnId, RefTxn>& txns, Lsn next) {
+  Lsn barrier = next;
+  for (const auto& [txn, st] : txns) {
+    if (!st.Closed() && st.first_lsn < barrier) barrier = st.first_lsn;
+  }
+  return barrier;
+}
+
+TEST(WalTest, ProtocolBarrierMatchesFullWalkOnRandomLogs) {
+  constexpr WalRecordKind kProtocolKinds[] = {
+      WalRecordKind::kPrepared,       WalRecordKind::kPreCommitted,
+      WalRecordKind::kCommitDecision, WalRecordKind::kAbortDecision,
+      WalRecordKind::kApplied,        WalRecordKind::kEnd};
+  constexpr WalRecordKind kStoreKinds[] = {
+      WalRecordKind::kStoreBegin,  WalRecordKind::kStoreUpdate,
+      WalRecordKind::kStoreCommit, WalRecordKind::kStoreAbort,
+      WalRecordKind::kStoreClr,    WalRecordKind::kStoreEnd};
+  int reopened = 0;
+  size_t truncated = 0;
+  int round_trips = 0;
+  for (uint64_t trial = 0; trial < 200; ++trial) {
+    std::mt19937_64 rng(trial);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    Wal wal;
+    std::map<TxnId, RefTxn> ref;
+    std::vector<TxnId> txns;
+    for (int step = 0; step < 300; ++step) {
+      size_t roll = pick(100);
+      if (roll < 3) {
+        truncated += wal.TruncateBefore(wal.ProtocolBarrier());
+      } else if (roll < 5) {
+        Wal loaded;
+        ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
+        wal = std::move(loaded);
+        ++round_trips;
+      } else if (roll < 30) {
+        WalRecord r;
+        r.kind = kStoreKinds[pick(std::size(kStoreKinds))];
+        r.txn = TxnId{0, pick(50)};
+        wal.Append(std::move(r));
+      } else {
+        // Mostly recent transactions, so most close the way the
+        // protocol closes them; the rest revisit old (often closed)
+        // ones and reopen them.
+        if (txns.empty() || pick(4) == 0) {
+          txns.push_back(TxnId{static_cast<SiteId>(pick(3)), txns.size() + 1});
+        }
+        size_t back = std::min<size_t>(txns.size(), pick(4) == 0 ? 1000 : 4);
+        TxnId txn = txns[txns.size() - 1 - pick(back)];
+        WalRecordKind kind =
+            kProtocolKinds[pick(std::size(kProtocolKinds))];
+        // Site 0 coordinates its own transactions (decision records
+        // carry the participant list); elsewhere it is a participant.
+        bool decision = kind == WalRecordKind::kCommitDecision ||
+                        kind == WalRecordKind::kAbortDecision;
+        std::vector<SiteId> participants;
+        if (kind == WalRecordKind::kPrepared ||
+            (decision && txn.home == 0)) {
+          participants = {0, 1, 2};
+        }
+        RefTxn& st = ref[txn];
+        bool was_closed = st.first_lsn != kNoLsn && st.Closed();
+        Lsn lsn = wal.Append(WalRecord::Protocol(kind, txn, txn.home, {},
+                                                 participants, false));
+        if (st.first_lsn == kNoLsn) st.first_lsn = lsn;
+        switch (kind) {
+          case WalRecordKind::kPrepared:
+            st.prepared = true;
+            break;
+          case WalRecordKind::kCommitDecision:
+          case WalRecordKind::kAbortDecision:
+            st.decided = true;
+            if (!participants.empty()) st.coordinator = true;
+            break;
+          case WalRecordKind::kApplied:
+            st.applied = true;
+            break;
+          case WalRecordKind::kEnd:
+            st.ended = true;
+            break;
+          default:
+            break;
+        }
+        if (was_closed && !st.Closed()) ++reopened;
+      }
+      ASSERT_EQ(wal.ProtocolBarrier(), ReferenceBarrier(ref, wal.NextLsn()))
+          << "trial " << trial << " step " << step;
+    }
+  }
+  // The sweep must actually reach the paths it exists to check.
+  EXPECT_GT(reopened, 100);
+  EXPECT_GT(truncated, 1000u);
+  EXPECT_GT(round_trips, 100);
+}
+
+TEST(WalTest, ReopenedTransactionPinsBarrierAtItsFirstRecord) {
+  Wal wal;
+  TxnId early{1, 1}, late{1, 2};
+  Lsn first = wal.Append(
+      WalRecord::Protocol(WalRecordKind::kAbortDecision, early, 1, {}, {}, false));
+  EXPECT_EQ(wal.ProtocolBarrier(), wal.NextLsn());  // decided, never prepared
+  Lsn late_first = wal.Append(Prepared(late, {}, {0, 1}));
+  EXPECT_EQ(wal.ProtocolBarrier(), late_first);
+  // A prepare logged after the decision reopens `early`: it goes back in
+  // front of `late`, at its own first LSN.
+  wal.Append(Prepared(early, {}, {0, 1}));
+  EXPECT_EQ(wal.ProtocolBarrier(), first);
+  wal.Append(WalRecord::Protocol(WalRecordKind::kApplied, early, 1, {}, {}, false));
+  EXPECT_EQ(wal.ProtocolBarrier(), late_first);
+  // The rebuilt queue after a load agrees.
+  Wal loaded;
+  ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
+  EXPECT_EQ(loaded.ProtocolBarrier(), late_first);
+}
+
+TEST(WalTest, DeserializeRejectsDigestEntryOutsideTruncatedPrefix) {
+  Wal wal;
+  TxnId closed{0, 1};
+  wal.Append(WalRecord::Protocol(WalRecordKind::kAbortDecision, closed, 0, {},
+                                 {}, false));
+  wal.Append(Prepared(TxnId{0, 2}, {}, {0, 1}));
+  ASSERT_EQ(wal.TruncateBefore(wal.ProtocolBarrier()), 1u);
+  std::vector<uint8_t> good = wal.Serialize();
+  Wal loaded;
+  ASSERT_TRUE(loaded.Deserialize(good).ok());
+  // Header: magic u32, version u32, master u64, base u64, digest count
+  // u32, then the entry: txn (home u32, seq u64), flags u8, first LSN
+  // u64 — all little-endian.
+  const size_t first_lsn_at = 4 + 4 + 8 + 8 + 4 + 4 + 8 + 1;
+  for (uint64_t bad : {uint64_t{0}, uint64_t{2}}) {
+    std::vector<uint8_t> corrupt = good;
+    for (size_t i = 0; i < 8; ++i) {
+      corrupt[first_lsn_at + i] = static_cast<uint8_t>(bad >> (8 * i));
+    }
+    EXPECT_FALSE(loaded.Deserialize(corrupt).ok()) << bad;
+    EXPECT_FALSE(loaded.DeserializeTolerant(corrupt).ok()) << bad;
+  }
 }
 
 TEST(WalTest, TruncationClearsDanglingMaster) {

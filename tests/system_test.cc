@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/session.h"
 #include "core/system.h"
 #include "fault/fault_injector.h"
@@ -111,6 +114,53 @@ TEST(SystemTest, WeightedQuorumSingleSiteCanDecide) {
   s.RunToQuiescence(1'000'000);
   EXPECT_TRUE(committed);
   EXPECT_EQ(s.site(0)->store().Get(0)->value, 8);
+}
+
+/// At quiescence the commit protocol has closed every transaction it
+/// logged, so no site's protocol log holds anything recovery would act
+/// on, and checkpoints may truncate up to the log's end.
+void ExpectProtocolLogsQuiescent(RainbowSystem& s, const char* when) {
+  for (SiteId id = 0; id < s.num_sites(); ++id) {
+    const Wal& wal = s.site(id)->wal();
+    EXPECT_EQ(wal.ProtocolBarrier(), wal.NextLsn()) << when << ", site " << id;
+    EXPECT_TRUE(wal.InDoubt().empty()) << when << ", site " << id;
+    EXPECT_TRUE(wal.DecidedUnended().empty()) << when << ", site " << id;
+  }
+}
+
+TEST(SystemTest, ClassroomSessionLeavesProtocolLogsQuiescent) {
+  std::ifstream in(std::string(RAINBOW_SOURCE_DIR) +
+                   "/configs/classroom_default.rainbow");
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto cfg = SystemConfig::FromText(text.str());
+  ASSERT_TRUE(cfg.ok()) << cfg.status();
+  auto sys = RainbowSystem::Create(*cfg);
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  RainbowSystem& s = **sys;
+
+  WorkloadConfig wl;
+  wl.seed = cfg->seed;
+  wl.num_txns = 600;
+  wl.mpl = 8;
+  WorkloadGenerator gen(&s, wl);
+  gen.Run();
+  s.RunToQuiescence(50'000'000);
+  ASSERT_TRUE(s.Idle());
+  ASSERT_TRUE(gen.finished());
+  EXPECT_GT(s.monitor().committed(), 100u);
+  // The session ran long enough for checkpoints to truncate the logs.
+  for (SiteId id = 0; id < s.num_sites(); ++id) {
+    EXPECT_GT(s.site(id)->wal().base(), 0u) << "site " << id;
+  }
+  ExpectProtocolLogsQuiescent(s, "after the session");
+
+  for (SiteId id = 0; id < s.num_sites(); ++id) s.CrashSite(id);
+  for (SiteId id = 0; id < s.num_sites(); ++id) s.RecoverSite(id);
+  s.RunToQuiescence(50'000'000);
+  ASSERT_TRUE(s.Idle());
+  ExpectProtocolLogsQuiescent(s, "after crash-all and recover-all");
+  EXPECT_TRUE(s.CheckReplicaConsistency(true).ok());
 }
 
 TEST(SessionTest, ClosedLoopWorkloadDrains) {
