@@ -13,7 +13,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -39,29 +38,6 @@ inline int RunAndPrint(Experiment& exp,
   }
   std::cout << exp.RenderTable(columns) << "\n";
   return 0;
-}
-
-/// Scans argv for `--shards N` — the sharded-kernel knob shared by the
-/// bench binaries — without disturbing each binary's own flag loop.
-/// Returns `def` when the flag is absent or malformed.
-inline uint32_t ShardsFlag(int argc, char** argv, uint32_t def = 1) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--shards") {
-      unsigned long v = std::strtoul(argv[i + 1], nullptr, 10);
-      if (v >= 1 && v <= 64) return static_cast<uint32_t>(v);
-    }
-  }
-  return def;
-}
-
-/// Environment fields every bench JSON report records: the shard count
-/// the run used and the machine's hardware threads. CI speedup gates
-/// read `hardware_threads` to skip boxes too small to show scaling.
-inline void AddEnvFields(std::vector<std::pair<std::string, double>>& fields,
-                         uint32_t shards) {
-  fields.emplace_back("sim_shards", static_cast<double>(shards));
-  fields.emplace_back("hardware_threads",
-                      static_cast<double>(std::thread::hardware_concurrency()));
 }
 
 /// Writes a flat JSON object of numeric fields, in the given order, to

@@ -306,7 +306,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  bench::AddEnvFields(report.fields, /*shards=*/1);
   if (!bench::EmitJson(out_path, report.fields)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;

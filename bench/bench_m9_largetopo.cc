@@ -179,7 +179,6 @@ int Main(int argc, char** argv) {
   add("aborted", static_cast<double>(result->aborted));
   add("net_messages", static_cast<double>(result->net_messages));
 
-  bench::AddEnvFields(fields, /*shards=*/1);
   if (!bench::EmitJson(out_path, fields)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;

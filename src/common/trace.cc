@@ -57,18 +57,6 @@ void TraceLog::Record(SimTime time, TraceCategory category, SiteId site,
   events_.push_back(TraceEvent{time, category, site, std::move(text)});
 }
 
-void TraceLog::MergeFrom(const TraceLog& other) {
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-}
-
-void TraceLog::CanonicalSort() {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.site < b.site;
-                   });
-}
-
 namespace {
 void RenderEvent(std::ostringstream& os, const TraceEvent& e) {
   os << StringPrintf("%10lld [%-5s]", static_cast<long long>(e.time),
@@ -186,12 +174,6 @@ void TraceCollector::Emit(TraceRecord rec) {
 void TraceCollector::Clear() {
   records_.clear();
   dropped_ = 0;
-}
-
-void TraceCollector::MergeFrom(const TraceCollector& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-  dropped_ += other.dropped_;
 }
 
 void TraceCollector::CanonicalSort() {

@@ -51,16 +51,6 @@ class TraceLog {
   const std::vector<TraceEvent>& events() const { return events_; }
   void Clear() { events_.clear(); }
 
-  /// Appends another log's events (per-shard log merge). Ignores the
-  /// enabled flag — merge targets are assembled, not recorded into.
-  void MergeFrom(const TraceLog& other);
-
-  /// Stable-sorts events by (time, site): the canonical cross-shard
-  /// order. Within one (time, site) pair emission order is preserved —
-  /// and a site's events always sit in a single shard buffer, so the
-  /// merged order is shard-count-invariant.
-  void CanonicalSort();
-
   /// Renders events (optionally only one category) as "time [cat] @site text".
   std::string Render() const;
   std::string Render(TraceCategory only) const;
@@ -154,12 +144,9 @@ class TraceCollector {
   size_t dropped() const { return dropped_; }
   void Clear();
 
-  /// Appends another collector's records (per-shard merge). Ignores the
-  /// detail level — merge targets are assembled, not emitted into.
-  void MergeFrom(const TraceCollector& other);
-
-  /// Stable-sorts records by (time, site): the canonical cross-shard
-  /// order (see TraceLog::CanonicalSort).
+  /// Stable-sorts records by (time, site), keeping emission order
+  /// within one (time, site) pair: the order ChromeTraceJson exports,
+  /// which groups each instant's records by site.
   void CanonicalSort();
 
   /// Events of one transaction, in emission (= time) order.

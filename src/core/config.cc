@@ -1,6 +1,7 @@
 #include "core/config.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -24,11 +25,9 @@ Status SystemConfig::Validate() const {
   if (num_sites == 0) {
     return Status::InvalidArgument("num_sites must be >= 1");
   }
-  if (sim_shards == 0) {
-    return Status::InvalidArgument("sim_shards must be >= 1");
-  }
-  if (sim_shards > 64) {
-    return Status::InvalidArgument("sim_shards must be <= 64");
+  if (sim_shards != 1) {
+    return Status::InvalidArgument(
+        "sim_shards must be 1: the sharded simulation kernel was removed");
   }
   if (message_loss < 0 || message_loss >= 1) {
     return Status::InvalidArgument("message_loss must be in [0, 1)");
@@ -94,7 +93,6 @@ std::string SystemConfig::ToText() const {
   os << "[system]\n";
   os << "seed = " << seed << "\n";
   os << "num_sites = " << num_sites << "\n";
-  os << "sim_shards = " << sim_shards << "\n";
   os << "enable_trace = " << (enable_trace ? "true" : "false") << "\n";
   os << "record_history = " << (record_history ? "true" : "false") << "\n";
   os << "stats_bucket = " << stats_bucket << "\n";
@@ -170,27 +168,32 @@ std::string SystemConfig::ToText() const {
 
 namespace {
 
-Result<std::vector<SiteId>> ParseSiteList(std::string_view s) {
-  std::vector<SiteId> out;
-  for (const std::string& piece : SplitAndTrim(s, '|')) {
-    RAINBOW_ASSIGN_OR_RETURN(int64_t v, ParseInt(piece));
-    out.push_back(static_cast<SiteId>(v));
+/// Parses `text` into `out`, rejecting a value outside T's range with
+/// an error naming `key` (a plain cast would wrap "-1" into 4294967295).
+template <typename T>
+Status ParseIntInto(std::string_view key, std::string_view text, T& out) {
+  RAINBOW_ASSIGN_OR_RETURN(int64_t v, ParseInt(text));
+  if (!std::in_range<T>(v)) {
+    return Status::InvalidArgument(std::string(key) + " out of range: " +
+                                   std::to_string(v));
   }
-  return out;
+  out = static_cast<T>(v);
+  return Status::OK();
 }
 
-Result<std::vector<int>> ParseIntList(std::string_view s) {
-  std::vector<int> out;
+/// A '|'-separated list, each element range-checked as for `key`.
+template <typename T>
+Result<std::vector<T>> ParseList(std::string_view key, std::string_view s) {
+  std::vector<T> out;
   for (const std::string& piece : SplitAndTrim(s, '|')) {
-    RAINBOW_ASSIGN_OR_RETURN(int64_t v, ParseInt(piece));
-    out.push_back(static_cast<int>(v));
+    RAINBOW_RETURN_IF_ERROR(ParseIntInto(key, piece, out.emplace_back()));
   }
   return out;
 }
 
 Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
                      const std::string& key, const std::string& value) {
-  auto as_int = [&]() -> Result<int64_t> { return ParseInt(value); };
+  auto into = [&](auto& out) { return ParseIntInto(key, value, out); };
   auto as_bool = [&]() -> Result<bool> { return ParseBool(value); };
 
   if (section == "system") {
@@ -198,17 +201,17 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
       // Full uint64 range: RNG seeds above INT64_MAX must reload.
       RAINBOW_ASSIGN_OR_RETURN(cfg.seed, ParseUint64(value));
     } else if (key == "num_sites") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      cfg.num_sites = static_cast<uint32_t>(v);
+      RAINBOW_RETURN_IF_ERROR(into(cfg.num_sites));
     } else if (key == "sim_shards") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      cfg.sim_shards = static_cast<uint32_t>(v);
+      // Still parsed so configs that carry the key keep loading;
+      // Validate() accepts only 1.
+      RAINBOW_RETURN_IF_ERROR(into(cfg.sim_shards));
     } else if (key == "enable_trace") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.enable_trace, as_bool());
     } else if (key == "record_history") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.record_history, as_bool());
     } else if (key == "stats_bucket") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.stats_bucket, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(cfg.stats_bucket));
     } else if (key == "trace_enabled") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.trace_enabled, as_bool());
     } else if (key == "verify_history") {
@@ -218,8 +221,7 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
     } else if (key == "nemesis_profile") {
       cfg.nemesis_profile = value;
     } else if (key == "nemesis_rounds") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      cfg.nemesis_rounds = static_cast<uint32_t>(v);
+      RAINBOW_RETURN_IF_ERROR(into(cfg.nemesis_rounds));
     } else if (key == "trace_detail") {
       if (value == "off") {
         cfg.trace_detail = TraceDetail::kOff;
@@ -247,17 +249,18 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
         return Status::InvalidArgument("unknown distribution: " + value);
       }
     } else if (key == "mean") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.mean, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(cfg.latency.mean));
     } else if (key == "min") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.min, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(cfg.latency.min));
     } else if (key == "per_kb") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.per_kb, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(cfg.latency.per_kb));
     } else if (key == "local") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.local, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(cfg.latency.local));
     } else if (key == "regions") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.regions, ParseIntList(value));
+      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.regions,
+                               ParseList<int>(key, value));
     } else if (key == "inter_region_mean") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.latency.inter_region_mean, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(cfg.latency.inter_region_mean));
     } else if (key == "message_loss") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.message_loss, ParseDouble(value));
     } else if (key == "verify_codec") {
@@ -338,49 +341,43 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
         return Status::InvalidArgument("unknown storage_engine: " + value);
       }
     } else if (key == "page_size") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.page_size = static_cast<uint32_t>(v);
+      RAINBOW_RETURN_IF_ERROR(into(p.page_size));
     } else if (key == "buffer_pool_pages") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.buffer_pool_pages = static_cast<uint32_t>(v);
+      RAINBOW_RETURN_IF_ERROR(into(p.buffer_pool_pages));
     } else if (key == "lru_k") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.lru_k = static_cast<uint32_t>(v);
+      RAINBOW_RETURN_IF_ERROR(into(p.lru_k));
     } else if (key == "checkpoint_interval") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.checkpoint_interval = static_cast<uint64_t>(v);
+      RAINBOW_RETURN_IF_ERROR(into(p.checkpoint_interval));
     } else if (key == "page_checksums") {
       RAINBOW_ASSIGN_OR_RETURN(p.page_checksums, as_bool());
     } else if (key == "op_timeout") {
-      RAINBOW_ASSIGN_OR_RETURN(p.op_timeout, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.op_timeout));
     } else if (key == "lock_wait_timeout") {
-      RAINBOW_ASSIGN_OR_RETURN(p.lock_wait_timeout, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.lock_wait_timeout));
     } else if (key == "vote_timeout") {
-      RAINBOW_ASSIGN_OR_RETURN(p.vote_timeout, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.vote_timeout));
     } else if (key == "decision_timeout") {
-      RAINBOW_ASSIGN_OR_RETURN(p.decision_timeout, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.decision_timeout));
     } else if (key == "decision_retry") {
-      RAINBOW_ASSIGN_OR_RETURN(p.decision_retry, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.decision_retry));
     } else if (key == "active_timeout") {
-      RAINBOW_ASSIGN_OR_RETURN(p.active_timeout, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.active_timeout));
     } else if (key == "ack_retry") {
-      RAINBOW_ASSIGN_OR_RETURN(p.ack_retry, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.ack_retry));
     } else if (key == "max_ack_resends") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.max_ack_resends = static_cast<int>(v);
+      RAINBOW_RETURN_IF_ERROR(into(p.max_ack_resends));
     } else if (key == "suspicion_ttl") {
-      RAINBOW_ASSIGN_OR_RETURN(p.suspicion_ttl, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.suspicion_ttl));
     } else if (key == "termination_window") {
-      RAINBOW_ASSIGN_OR_RETURN(p.termination_window, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.termination_window));
     } else if (key == "probe_delay") {
-      RAINBOW_ASSIGN_OR_RETURN(p.probe_delay, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.probe_delay));
     } else if (key == "rpc_max_attempts") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.rpc_max_attempts = static_cast<int>(v);
+      RAINBOW_RETURN_IF_ERROR(into(p.rpc_max_attempts));
     } else if (key == "rpc_backoff_base") {
-      RAINBOW_ASSIGN_OR_RETURN(p.rpc_backoff_base, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.rpc_backoff_base));
     } else if (key == "rpc_backoff_cap") {
-      RAINBOW_ASSIGN_OR_RETURN(p.rpc_backoff_cap, as_int());
+      RAINBOW_RETURN_IF_ERROR(into(p.rpc_backoff_cap));
     } else {
       return Status::InvalidArgument("unknown [protocols] key: " + key);
     }
@@ -397,14 +394,16 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
     ItemConfig item;
     item.name = parts[0];
     RAINBOW_ASSIGN_OR_RETURN(item.initial, ParseInt(parts[1]));
-    RAINBOW_ASSIGN_OR_RETURN(item.copies, ParseSiteList(parts[2]));
+    RAINBOW_ASSIGN_OR_RETURN(item.copies,
+                             ParseList<SiteId>("item copy site", parts[2]));
     if (parts[3] != "-") {
-      RAINBOW_ASSIGN_OR_RETURN(item.votes, ParseIntList(parts[3]));
+      RAINBOW_ASSIGN_OR_RETURN(item.votes,
+                               ParseList<int>("item vote", parts[3]));
     }
-    RAINBOW_ASSIGN_OR_RETURN(int64_t rq, ParseInt(parts[4]));
-    RAINBOW_ASSIGN_OR_RETURN(int64_t wq, ParseInt(parts[5]));
-    item.read_quorum = static_cast<int>(rq);
-    item.write_quorum = static_cast<int>(wq);
+    RAINBOW_RETURN_IF_ERROR(
+        ParseIntInto("item read quorum", parts[4], item.read_quorum));
+    RAINBOW_RETURN_IF_ERROR(
+        ParseIntInto("item write quorum", parts[5], item.write_quorum));
     cfg.items.push_back(std::move(item));
     return Status::OK();
   }

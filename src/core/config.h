@@ -31,11 +31,11 @@ struct SystemConfig {
   uint64_t seed = 1;
   uint32_t num_sites = 3;
 
-  /// Simulation kernel shards (worker threads). 1 = the classic
-  /// single-threaded kernel; N > 1 partitions sites across N per-shard
-  /// event queues synchronized at conservative virtual-time barriers
-  /// (sim/sharded_simulator.h). Same seed ⇒ same execution at any
-  /// value; the knob only changes wall-clock speed.
+  /// Fixed at 1: the sharded simulation kernel was removed, and
+  /// Validate() rejects any other value. The field remains only because
+  /// the benchmark driver (perfbench/src/driver.cc) assigns it; FromText
+  /// still accepts the key so older saved configs load, and ToText no
+  /// longer writes it.
   uint32_t sim_shards = 1;
 
   LatencyConfig latency;

@@ -22,7 +22,7 @@ Result<SessionResult> RunSession(const SystemConfig& system_config,
   auto created = RainbowSystem::Create(sys_cfg);
   RAINBOW_RETURN_IF_ERROR(created.status());
   RainbowSystem& sys = **created;
-  if (options.keep_session_log) sys.set_keep_outcomes(true);
+  if (options.keep_session_log) sys.monitor().set_keep_outcomes(true);
 
   FaultInjector injector(&sys);
   injector.ScheduleAll(options.faults);

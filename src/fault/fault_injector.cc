@@ -62,9 +62,7 @@ bool FaultInjector::SiteUp(SiteId s) const {
 }
 
 void FaultInjector::Apply(const FaultEvent& e) {
-  // Intake on the control lane: Apply runs as a control-lane event (all
-  // shard workers parked at the barrier in sharded mode).
-  TraceLog& trace = system_->control_trace();
+  TraceLog& trace = system_->trace();
   Network& net = system_->net();
   const SimTime now = system_->sim().Now();
   switch (e.kind) {
@@ -201,7 +199,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
     case FaultEvent::Kind::kCount:
       return;
   }
-  system_->control_monitor().OnFaultInjected(e.kind);
+  system_->monitor().OnFaultInjected(e.kind);
 }
 
 void FaultInjector::EnableRandomFaults(SimTime mttf, SimTime mttr,

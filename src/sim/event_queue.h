@@ -14,12 +14,11 @@ namespace rainbow {
 /// deterministic: two events scheduled for the same instant (and the
 /// same key) fire in the order they were scheduled.
 ///
-/// The explicit ordering `key` exists for the sharded kernel: events
-/// whose relative order must not depend on *when* they were inserted
-/// (message deliveries drained from cross-shard mailboxes vs. scheduled
-/// directly) carry a key derived from their origin — (sender site,
-/// per-sender sequence) — so the execution order at a destination is a
-/// pure function of virtual time, not of shard count or drain order.
+/// The explicit ordering `key` is for events whose relative order must
+/// not depend on *when* they were inserted: message deliveries carry a
+/// key derived from their origin — (sender site, per-sender sequence) —
+/// so same-tick arrivals at a destination fire in message-identity
+/// order, which also lets the network batch them (net/network.h).
 /// Key 0 (the default) sorts before any message key, i.e. local timers
 /// fire before same-tick message deliveries.
 ///

@@ -2,6 +2,9 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/config.h"
@@ -225,6 +228,86 @@ TEST(ConfigTest, ParserRejectsGarbage) {
       SystemConfig::FromText("[items]\nitem = too,few,fields\n").ok());
   EXPECT_FALSE(
       SystemConfig::FromText("[protocols]\nrcp = PAXOS\n").ok());
+}
+
+TEST(ConfigTest, ParserRejectsOutOfRangeIntegers) {
+  // Each value is out of range for its field; a cast would wrap it
+  // (num_sites = -1 into 4294967295 sites, a copy on site 2^32 onto
+  // site 0). The error names the key. Parse level only: no system is
+  // ever built from these.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[system]\nnum_sites = -1\n", "num_sites"},
+      {"[system]\nnum_sites = 4294967297\n", "num_sites"},
+      {"[system]\nnemesis_rounds = -1\n", "nemesis_rounds"},
+      {"[system]\nsim_shards = 4294967297\n", "sim_shards"},
+      {"[network]\nregions = 0|2147483648\n", "regions"},
+      {"[protocols]\npage_size = -1\n", "page_size"},
+      {"[protocols]\nbuffer_pool_pages = 4294967296\n", "buffer_pool_pages"},
+      {"[protocols]\nlru_k = -2\n", "lru_k"},
+      {"[protocols]\ncheckpoint_interval = -1\n", "checkpoint_interval"},
+      {"[protocols]\nmax_ack_resends = 2147483648\n", "max_ack_resends"},
+      {"[protocols]\nrpc_max_attempts = -2147483649\n", "rpc_max_attempts"},
+      {"[items]\nitem = x, 0, 0|-1, -, 0, 0\n", "item copy site"},
+      {"[items]\nitem = x, 0, 0|4294967296, -, 0, 0\n", "item copy site"},
+      {"[items]\nitem = x, 0, 0|1, 1|4294967297, 0, 0\n", "item vote"},
+      {"[items]\nitem = x, 0, 0, -, 4294967297, 0\n", "item read quorum"},
+      {"[items]\nitem = x, 0, 0, -, 0, -4294967297\n", "item write quorum"},
+  };
+  for (const auto& [text, key] : cases) {
+    auto parsed = SystemConfig::FromText(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find(key + " out of range"),
+              std::string::npos)
+        << text << " -> " << parsed.status();
+  }
+}
+
+TEST(ConfigTest, IntegerFieldsAcceptTheirFullRange) {
+  auto parsed = SystemConfig::FromText(
+      "[system]\nnum_sites = 4294967295\nnemesis_rounds = 0\n"
+      "[protocols]\ncheckpoint_interval = 9223372036854775807\n"
+      "max_ack_resends = -2147483648\nrpc_max_attempts = 2147483647\n"
+      "[items]\nitem = x, 0, 0|4294967295, 1|2147483647, -1, 0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->num_sites, 4294967295u);
+  EXPECT_EQ(parsed->nemesis_rounds, 0u);
+  EXPECT_EQ(parsed->protocols.checkpoint_interval, 9223372036854775807u);
+  EXPECT_EQ(parsed->protocols.max_ack_resends, -2147483647 - 1);
+  EXPECT_EQ(parsed->protocols.rpc_max_attempts, 2147483647);
+  ASSERT_EQ(parsed->items.size(), 1u);
+  EXPECT_EQ(parsed->items[0].copies, (std::vector<SiteId>{0, 4294967295u}));
+  EXPECT_EQ(parsed->items[0].votes, (std::vector<int>{1, 2147483647}));
+  EXPECT_EQ(parsed->items[0].read_quorum, -1);
+}
+
+TEST(ConfigTest, SimShardsKeyLoadsButOnlyOneValidates) {
+  // Saved configs always carried "sim_shards = 1"; they must still
+  // load, validate and re-save to a fixed point.
+  SystemConfig base;
+  base.AddUniformItems(4, 10, 3);
+  std::string saved = base.ToText();
+  EXPECT_EQ(saved.find("sim_shards"), std::string::npos);
+  std::string old_text = saved;
+  old_text.insert(old_text.find("enable_trace"), "sim_shards = 1\n");
+  auto old_cfg = SystemConfig::FromText(old_text);
+  ASSERT_TRUE(old_cfg.ok()) << old_cfg.status();
+  EXPECT_EQ(old_cfg->sim_shards, 1u);
+  EXPECT_TRUE(old_cfg->Validate().ok());
+  EXPECT_EQ(old_cfg->ToText(), saved);
+  auto reparsed = SystemConfig::FromText(old_cfg->ToText());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(reparsed->ToText(), saved);
+
+  std::string sharded_text = saved;
+  sharded_text.insert(sharded_text.find("enable_trace"), "sim_shards = 4\n");
+  auto sharded = SystemConfig::FromText(sharded_text);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  Status v = sharded->Validate();
+  EXPECT_EQ(v.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v.message().find("sharded simulation kernel was removed"),
+            std::string::npos)
+      << v;
 }
 
 TEST(ConfigTest, ParsesAllProtocolNames) {

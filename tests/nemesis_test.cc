@@ -118,6 +118,23 @@ TEST(NemesisTest, CleanUnderFlakyProfileWithFencing) {
   EXPECT_EQ(r.total_runs, 5u);
 }
 
+TEST(NemesisTest, CleanUnderCalmProfileFiveRounds) {
+  // Crash blips, partitions and link overrides at calm intensity, with
+  // the invariant checker as oracle, on a small workload per round.
+  NemesisOptions opts;
+  opts.seed = 0xca1f;
+  opts.profile = "calm";
+  opts.rounds = 5;
+  opts.txns = 60;
+  opts.mpl = 4;
+  opts.shrink = false;
+  Result<Nemesis> n = Nemesis::Make(opts);
+  ASSERT_TRUE(n.ok());
+  NemesisResult r = n->Run();
+  EXPECT_FALSE(r.found_violation) << r.report;
+  EXPECT_EQ(r.rounds_run, 5u);
+}
+
 TEST(NemesisTest, FindsAndShrinksResurrectionBugWithoutFencing) {
   // The acceptance hunt: disable the incarnation-epoch fence (the PR-3
   // fix for the replica-resurrection bug) and let havoc-profile fuzzing

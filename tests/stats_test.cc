@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "stats/progress_monitor.h"
 
 namespace rainbow {
@@ -77,29 +80,35 @@ TEST(ProgressMonitorTest, LoadCv) {
 }
 
 // Regression (rainbow_lint D1): home_load_cv() accumulates doubles in
-// table-iteration order, and sharded runs MergeFrom() each shard's
-// monitor in turn. With the old unordered_map the rebuilt table's order
-// — and hence the float accumulation order — depended on merge order;
-// with the sorted map the CV is bit-identical either way.
-TEST(ProgressMonitorTest, HomeLoadCvIndependentOfMergeOrder) {
-  ProgressMonitor shard_a, shard_b, shard_c;
-  for (int i = 0; i < 7; ++i) shard_a.OnSubmit(3, 0);
-  for (int i = 0; i < 11; ++i) shard_b.OnSubmit(1, 0);
-  for (int i = 0; i < 5; ++i) shard_c.OnSubmit(2, 0);
-  for (int i = 0; i < 2; ++i) shard_c.OnSubmit(3, 0);
+// table-iteration order. With the old unordered_map that order — and
+// hence the float accumulation order — followed the hash table's
+// insertion history, i.e. the order transactions were submitted; with
+// the sorted map the CV is bit-identical for any submission order.
+TEST(ProgressMonitorTest, HomeLoadCvIndependentOfSubmitOrder) {
+  // Counts whose float CV differs between the two hash-table orders
+  // the old code produced for site_major and reversed below.
+  const std::vector<std::pair<SiteId, int>> counts = {
+      {6, 23}, {1, 10}, {3, 24}, {2, 37}, {0, 9}, {5, 21}, {4, 14}};
+  ProgressMonitor site_major;  // all of one site, then the next
+  for (const auto& [site, n] : counts) {
+    for (int i = 0; i < n; ++i) site_major.OnSubmit(site, 0);
+  }
+  ProgressMonitor reversed;  // same, sites in the opposite order
+  for (auto it = counts.rbegin(); it != counts.rend(); ++it) {
+    for (int i = 0; i < it->second; ++i) reversed.OnSubmit(it->first, 0);
+  }
+  ProgressMonitor interleaved;  // one submission per site per round
+  for (int round = 0; round < 37; ++round) {
+    for (const auto& [site, n] : counts) {
+      if (round < n) interleaved.OnSubmit(site, 0);
+    }
+  }
 
-  ProgressMonitor forward;
-  forward.MergeFrom(shard_a);
-  forward.MergeFrom(shard_b);
-  forward.MergeFrom(shard_c);
-  ProgressMonitor backward;
-  backward.MergeFrom(shard_c);
-  backward.MergeFrom(shard_b);
-  backward.MergeFrom(shard_a);
-
-  EXPECT_EQ(forward.homed_per_site(), backward.homed_per_site());
-  EXPECT_EQ(forward.home_load_cv(), backward.home_load_cv());
-  EXPECT_GT(forward.home_load_cv(), 0.0);
+  EXPECT_EQ(site_major.homed_per_site(), reversed.homed_per_site());
+  EXPECT_EQ(site_major.homed_per_site(), interleaved.homed_per_site());
+  EXPECT_EQ(site_major.home_load_cv(), reversed.home_load_cv());
+  EXPECT_EQ(site_major.home_load_cv(), interleaved.home_load_cv());
+  EXPECT_GT(site_major.home_load_cv(), 0.0);
 }
 
 TEST(ProgressMonitorTest, OrphansAndBlockedTimes) {

@@ -2,10 +2,13 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/session.h"
 #include "core/system.h"
 #include "fault/fault_injector.h"
+#include "stats/progress_monitor.h"
+#include "verify/history.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -161,6 +164,83 @@ TEST(SystemTest, ClassroomSessionLeavesProtocolLogsQuiescent) {
   ASSERT_TRUE(s.Idle());
   ExpectProtocolLogsQuiescent(s, "after crash-all and recover-all");
   EXPECT_TRUE(s.CheckReplicaConsistency(true).ok());
+}
+
+/// Everything observable from one traced run with scans and per-site
+/// clients: the text trace, structured records, session log, committed
+/// history and network totals.
+struct RunArtifacts {
+  std::string trace;
+  std::string records;
+  std::string session_log;
+  std::string history;
+  uint64_t committed = 0;
+  uint64_t net_sent = 0;
+  uint64_t bytes = 0;
+  SimTime end_time = 0;
+};
+
+RunArtifacts RunScanWorkload(uint64_t seed) {
+  SystemConfig cfg;
+  cfg.seed = seed;
+  cfg.num_sites = 8;
+  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
+  cfg.trace_detail = TraceDetail::kFull;
+  cfg.record_history = true;
+  cfg.AddUniformItems(24, 100, 3);
+  auto sys = RainbowSystem::Create(cfg);
+  EXPECT_TRUE(sys.ok()) << sys.status();
+  RainbowSystem& s = **sys;
+  s.monitor().set_keep_outcomes(true);
+
+  WorkloadConfig wl;
+  wl.seed = seed ^ 0x5eed;
+  wl.num_txns = 96;
+  wl.mpl = 8;
+  wl.max_retries = 2;
+  wl.scan_fraction = 0.15;  // page-engine leaf-chain reads
+  wl.scan_length = 4;
+  wl.per_site_clients = true;
+  WorkloadGenerator wlg(&s, wl);
+  wlg.Run();
+  while (!wlg.finished() && s.sim().Now() < Seconds(30)) {
+    s.RunFor(Millis(50));
+    if (s.Idle() && !wlg.finished()) break;
+  }
+  s.RunFor(Millis(500));
+  EXPECT_TRUE(wlg.finished());
+  EXPECT_EQ(wlg.completed(), 96u);
+
+  RunArtifacts a;
+  a.trace = s.trace().Render();
+  a.records = ProgressMonitor::RenderExecutionWindow(s.collector(), 0);
+  a.session_log = s.monitor().RenderSessionLog();
+  a.history = RenderHistory(s.history().transactions());
+  a.committed = s.monitor().committed();
+  a.net_sent = s.net().stats().network_sent();
+  a.bytes = s.net().stats().bytes;
+  a.end_time = s.sim().Now();
+  EXPECT_GT(a.committed, 0u);
+  EXPECT_TRUE(CheckConflictSerializable(s.history().transactions()).ok());
+  EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
+  return a;
+}
+
+/// Same seed => byte-identical artifacts, with the scan verb and the
+/// per-site workload clients in the mix.
+TEST(SystemTest, SameSeedScanWorkloadIsByteIdentical) {
+  const uint64_t kSeed = 20260808;
+  RunArtifacts a = RunScanWorkload(kSeed);
+  RunArtifacts b = RunScanWorkload(kSeed);
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.net_sent, b.net_sent);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.session_log, b.session_log);
+  EXPECT_EQ(a.history, b.history);
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.records, b.records);
 }
 
 TEST(SessionTest, ClosedLoopWorkloadDrains) {
