@@ -10,15 +10,17 @@
 //   * micro/events — raw EventQueue schedule/fire throughput, with the
 //     same zero-allocation steady-state gate.
 //   * macro/session — a full classroom_default-shaped session
-//     (3 sites, QC + 2PL + 2PC, 12 fully replicated items), reporting
-//     wall time and allocations per finished transaction.
+//     (3 sites, QC + 2PL + 2PC, 12 fully replicated items, page
+//     storage engine), reporting wall time, allocations per finished
+//     transaction, committed transactions and network messages.
 //
 // The numbers are written as flat JSON (bench::EmitJson). The repo
 // checks in BENCH_M6.json as the baseline; the CI perf-smoke step runs
 // this binary with --check BENCH_M6.json, which fails on a >2x
-// allocation-count or >1.5x wall-time regression. The wall-time bound
-// is deliberately loose (CI machines are noisy); the allocation counts
-// are exact and are the real gate.
+// allocation-count or >1.5x wall-time regression, or on any change in
+// the macro session's committed or message count (it is deterministic).
+// The wall-time bound is deliberately loose (CI machines are noisy);
+// the allocation counts are exact and are the real gate.
 //
 // Flags:
 //   --out FILE        write the JSON report here (default BENCH_M6.json)
@@ -71,6 +73,8 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace rainbow {
 namespace {
 
+using bench::CheckExact;
+using bench::CheckMetric;
 using Clock = std::chrono::steady_clock;
 
 double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
@@ -200,10 +204,6 @@ bool RunMacroSession(Report& report) {
   system.seed = 2026;
   system.num_sites = 3;
   system.AddFullyReplicatedItems(12, 100);
-  // M6 measures the simulator/protocol hot path, so pin the legacy map
-  // store: the page engine (B+ tree + buffer pool + store-record
-  // logging) has its own baseline and gates in bench_m8_storage.
-  system.protocols.storage_engine = StorageEngineKind::kMap;
 
   WorkloadConfig workload;
   workload.num_txns = 400;
@@ -229,29 +229,6 @@ bool RunMacroSession(Report& report) {
   report.Add("macro_committed", static_cast<double>(result->committed));
   report.Add("macro_net_messages", static_cast<double>(result->net_messages));
   return true;
-}
-
-/// One baseline comparison: fails (returns false) when `current` is
-/// worse than `allowed_ratio` times the baseline value. `higher_is_better`
-/// flips the direction for throughput-style metrics. `slack` absorbs
-/// quantization around zero-valued allocation baselines.
-bool CheckMetric(const std::map<std::string, double>& baseline,
-                 const std::map<std::string, double>& current,
-                 const std::string& key, double allowed_ratio,
-                 bool higher_is_better, double slack = 0.0) {
-  auto b = baseline.find(key);
-  auto c = current.find(key);
-  if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
-                b == baseline.end() ? "baseline" : "current run");
-    return true;
-  }
-  bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
-                             : c->second <= b->second * allowed_ratio + slack;
-  std::printf("  check %-28s %s (current %.6g vs baseline %.6g, allowed %gx)\n",
-              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second,
-              allowed_ratio);
-  return ok;
 }
 
 int Main(int argc, char** argv) {
@@ -323,6 +300,9 @@ int Main(int argc, char** argv) {
     std::map<std::string, double> current(report.fields.begin(),
                                           report.fields.end());
     bool pass = true;
+    // Deterministic counters: exact.
+    pass &= CheckExact(baseline, current, "macro_committed");
+    pass &= CheckExact(baseline, current, "macro_net_messages");
     // Wall-time-shaped metrics: loose 1.5x bound (CI machines are noisy).
     pass &= CheckMetric(baseline, current, "micro_msgs_per_sec", 1.5, true);
     pass &= CheckMetric(baseline, current, "micro_events_per_sec", 1.5, true);

@@ -46,6 +46,7 @@
 namespace rainbow {
 namespace {
 
+using bench::CheckMetric;
 using Clock = std::chrono::steady_clock;
 
 double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
@@ -77,25 +78,6 @@ struct Report {
   }
 };
 
-bool CheckMetric(const std::map<std::string, double>& baseline,
-                 const std::map<std::string, double>& current,
-                 const std::string& key, double allowed_ratio,
-                 bool higher_is_better, double slack = 0.0) {
-  auto b = baseline.find(key);
-  auto c = current.find(key);
-  if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
-                b == baseline.end() ? "baseline" : "current run");
-    return true;
-  }
-  bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
-                             : c->second <= b->second * allowed_ratio + slack;
-  std::printf("  check %-28s %s (current %.6g vs baseline %.6g, allowed %gx)\n",
-              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second,
-              allowed_ratio);
-  return ok;
-}
-
 int Main(int argc, char** argv) {
   std::string out_path = "BENCH_M8.json";
   std::string check_path;
@@ -121,7 +103,9 @@ int Main(int argc, char** argv) {
   Report report;
 
   Wal wal;
-  PageStore store(&wal, kPageSize, kPoolPages, kLruK);
+  PageStore store(&wal, PageStoreOptions{.page_size = kPageSize,
+                                          .pool_pages = kPoolPages,
+                                          .lru_k = kLruK});
 
   // --- load ---------------------------------------------------------------
   std::printf("-- load: %u items, %u B pages, %zu-frame pool --\n", num_items,

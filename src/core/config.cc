@@ -29,6 +29,10 @@ Status SystemConfig::Validate() const {
     return Status::InvalidArgument(
         "sim_shards must be 1: the sharded simulation kernel was removed");
   }
+  if (stats_bucket <= 0) {
+    // Network and progress statistics divide virtual time by it.
+    return Status::InvalidArgument("stats_bucket must be > 0");
+  }
   if (message_loss < 0 || message_loss >= 1) {
     return Status::InvalidArgument("message_loss must be in [0, 1)");
   }
@@ -134,8 +138,6 @@ std::string SystemConfig::ToText() const {
      << "\n";
   os << "ordered_access = "
      << (protocols.ordered_access ? "true" : "false") << "\n";
-  os << "storage_engine = " << StorageEngineKindName(protocols.storage_engine)
-     << "\n";
   os << "page_size = " << protocols.page_size << "\n";
   os << "buffer_pool_pages = " << protocols.buffer_pool_pages << "\n";
   os << "lru_k = " << protocols.lru_k << "\n";
@@ -333,11 +335,13 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
     } else if (key == "ordered_access") {
       RAINBOW_ASSIGN_OR_RETURN(p.ordered_access, as_bool());
     } else if (key == "storage_engine") {
+      // Files saved by earlier builds carry "storage_engine = page"; the
+      // page engine is now the only one, so the key selects nothing.
       if (value == "map") {
-        p.storage_engine = StorageEngineKind::kMap;
-      } else if (value == "page") {
-        p.storage_engine = StorageEngineKind::kPage;
-      } else {
+        return Status::InvalidArgument(
+            "storage_engine = map: the map engine was removed");
+      }
+      if (value != "page") {
         return Status::InvalidArgument("unknown storage_engine: " + value);
       }
     } else if (key == "page_size") {

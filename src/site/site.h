@@ -102,8 +102,8 @@ class Site {
 
   // --- introspection ---
   SiteId id() const { return id_; }
-  const StorageEngine& store() const { return *store_; }
-  StorageEngine& mutable_store() { return *store_; }
+  const PageStore& store() const { return store_; }
+  PageStore& mutable_store() { return store_; }
   const Wal& wal() const { return wal_; }
   CcEngine* cc() { return cc_.get(); }
   size_t active_coordinators() const { return coordinators_.size(); }
@@ -190,10 +190,10 @@ class Site {
   uint64_t epoch_ = 0;
   bool started_ = false;
 
-  // Durable state. The engine logs into wal_, so wal_ is declared (and
+  // Durable state. The store logs into wal_, so wal_ is declared (and
   // constructed) first.
   Wal wal_;
-  std::unique_ptr<StorageEngine> store_;
+  PageStore store_;
 
   // The RPC endpoint outlives coordinators/participants (their
   // destructors cancel pending calls), so it is declared first.

@@ -310,6 +310,48 @@ TEST(ConfigTest, SimShardsKeyLoadsButOnlyOneValidates) {
       << v;
 }
 
+TEST(ConfigTest, StorageEngineKeyLoadsPageAndRejectsMap) {
+  // Saved configs carried "storage_engine = page" while the key chose
+  // between two engines; they must still load and re-save to a fixed
+  // point. The map engine is gone, so asking for it is an error.
+  SystemConfig base;
+  base.AddUniformItems(4, 10, 3);
+  std::string saved = base.ToText();
+  EXPECT_EQ(saved.find("storage_engine"), std::string::npos);
+  std::string old_text = saved;
+  old_text.insert(old_text.find("page_size"), "storage_engine = page\n");
+  auto old_cfg = SystemConfig::FromText(old_text);
+  ASSERT_TRUE(old_cfg.ok()) << old_cfg.status();
+  EXPECT_TRUE(old_cfg->Validate().ok());
+  EXPECT_EQ(old_cfg->ToText(), saved);
+  auto reparsed = SystemConfig::FromText(old_cfg->ToText());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(reparsed->ToText(), saved);
+
+  std::string map_text = saved;
+  map_text.insert(map_text.find("page_size"), "storage_engine = map\n");
+  auto map_cfg = SystemConfig::FromText(map_text);
+  ASSERT_FALSE(map_cfg.ok());
+  EXPECT_EQ(map_cfg.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(map_cfg.status().message().find("map engine was removed"),
+            std::string::npos)
+      << map_cfg.status();
+}
+
+TEST(ConfigTest, ValidateRejectsNonPositiveStatsBucket) {
+  // Network and progress statistics divide virtual time by the bucket
+  // width, so a zero width used to die with SIGFPE on the first send.
+  for (SimTime bucket : {SimTime{0}, SimTime{-1}}) {
+    SystemConfig cfg;
+    cfg.AddUniformItems(4, 10, 3);
+    cfg.stats_bucket = bucket;
+    Status v = cfg.Validate();
+    EXPECT_EQ(v.code(), StatusCode::kInvalidArgument) << bucket;
+    EXPECT_NE(v.message().find("stats_bucket"), std::string::npos) << v;
+    EXPECT_FALSE(RainbowSystem::Create(cfg).ok()) << bucket;
+  }
+}
+
 TEST(ConfigTest, ParsesAllProtocolNames) {
   for (const char* rcp : {"QC", "ROWA", "ROWA-A", "PRIMARY"}) {
     auto parsed = SystemConfig::FromText(std::string("[protocols]\nrcp = ") +

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "storage/storage_engine.h"
@@ -139,77 +140,134 @@ TEST(StorageBufferPoolTest, UnpinDirtyBitSticks) {
   EXPECT_EQ(check.ReadU32(20), 5u);
 }
 
-// --- engines: parity ------------------------------------------------------
+// --- page store: the store contract against a std::map shadow -----------
 
 constexpr uint32_t kTestPageSize = 128;
 
 std::unique_ptr<PageStore> MakePageStore(Wal* wal, size_t frames = 16) {
-  return std::make_unique<PageStore>(wal, kTestPageSize, frames, 2);
+  PageStoreOptions opts;
+  opts.page_size = kTestPageSize;
+  opts.pool_pages = frames;
+  return std::make_unique<PageStore>(wal, opts);
 }
 
-TEST(StorageEngineTest, MapAndPageAgreeOnApplySequences) {
+TEST(StoragePageStoreTest, LoadAndGet) {
   Wal wal;
-  MapStore map;
-  auto page = MakePageStore(&wal);
-  for (ItemId i = 0; i < 50; ++i) {
-    map.Load(i, static_cast<Value>(i));
-    page->Load(i, static_cast<Value>(i));
-  }
-  // A scripted mix of fresh, duplicate, and stale applies.
-  struct Step { ItemId item; Value value; Version version; };
-  std::vector<Step> steps = {
-      {3, 30, 2}, {3, 31, 2}, {3, 29, 1}, {7, 70, 5}, {7, 71, 6},
-      {49, 1, 1}, {0, -4, 3}, {0, -4, 3}, {25, 8, 9}, {25, 7, 4},
-  };
-  for (const Step& s : steps) {
-    EXPECT_EQ(map.Apply(s.item, s.value, s.version),
-              page->Apply(s.item, s.value, s.version))
-        << "item " << s.item << " v" << s.version;
-  }
-  EXPECT_EQ(map.Snapshot(), page->Snapshot());
-  EXPECT_EQ(map.size(), page->size());
-  for (ItemId i = 0; i < 50; ++i) {
-    auto a = map.Get(i);
-    auto b = page->Get(i);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->value, b->value);
-    EXPECT_EQ(a->version, b->version);
-  }
-  EXPECT_FALSE(page->Get(99).ok());
-  EXPECT_FALSE(page->Apply(99, 1, 1));
+  auto store = MakePageStore(&wal);
+  store->Load(3, 42);
+  EXPECT_TRUE(store->Has(3));
+  EXPECT_FALSE(store->Has(4));
+  auto copy = store->Get(3);
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(copy->value, 42);
+  EXPECT_EQ(copy->version, 0u);
+  EXPECT_FALSE(store->Get(4).ok());
 }
 
-TEST(StorageEngineTest, RangeMatchesBetweenEngines) {
+/// One committed write offered to the store, with the result the store
+/// contract gives: it lands only on a hosted item at a strictly newer
+/// version, which is what makes replay after recovery idempotent.
+struct ApplyStep {
+  ItemId item;
+  Value value;
+  Version version;
+  bool applied;
+  bool adopt = false;  ///< offer it through AdoptIfNewer, not Apply
+};
+
+/// Runs `steps` on a PageStore loaded with `initial` (item -> value at
+/// version 0) and on a std::map shadow that applies the contract rule.
+/// Every step must return its scripted result on both, and the final
+/// contents must match.
+void ExpectMatchesShadow(const std::map<ItemId, Value>& initial,
+                         const std::vector<ApplyStep>& steps) {
   Wal wal;
-  MapStore map;
   auto page = MakePageStore(&wal);
+  std::map<ItemId, ItemCopy> shadow;
+  for (const auto& [item, value] : initial) {
+    page->Load(item, value);
+    shadow[item] = ItemCopy{value, 0};
+  }
+  for (const ApplyStep& s : steps) {
+    auto it = shadow.find(s.item);
+    bool lands = it != shadow.end() && s.version > it->second.version;
+    if (lands) it->second = ItemCopy{s.value, s.version};
+    bool got = s.adopt ? page->AdoptIfNewer(s.item, s.value, s.version)
+                       : page->Apply(s.item, s.value, s.version);
+    EXPECT_EQ(lands, s.applied) << "item " << s.item << " v" << s.version;
+    EXPECT_EQ(got, s.applied) << "item " << s.item << " v" << s.version;
+  }
+  EXPECT_EQ(page->Snapshot(), shadow);
+  EXPECT_EQ(page->size(), shadow.size());
+  for (const auto& [item, copy] : shadow) {
+    auto got = page->Get(item);
+    ASSERT_TRUE(got.ok()) << "item " << item;
+    EXPECT_EQ(*got, copy) << "item " << item;
+  }
+}
+
+TEST(StoragePageStoreTest, ApplySequencesMatchShadowMap) {
+  // A scripted mix of fresh, duplicate and stale applies over 50 items,
+  // ending with a write to an item the store does not host.
+  std::map<ItemId, Value> fifty;
+  for (ItemId i = 0; i < 50; ++i) fifty[i] = static_cast<Value>(i);
+  ExpectMatchesShadow(fifty, {{3, 30, 2, true},
+                              {3, 31, 2, false},
+                              {3, 29, 1, false},
+                              {7, 70, 5, true},
+                              {7, 71, 6, true},
+                              {49, 1, 1, true},
+                              {0, -4, 3, true},
+                              {0, -4, 3, false},
+                              {25, 8, 9, true},
+                              {25, 7, 4, false},
+                              {99, 1, 1, false}});
+  // Each apply advances the version.
+  ExpectMatchesShadow({{1, 0}}, {{1, 10, 1, true}, {1, 20, 2, true}});
+  // Duplicate and older versions are ignored.
+  ExpectMatchesShadow({{1, 0}},
+                      {{1, 10, 2, true}, {1, 99, 2, false}, {1, 99, 1, false}});
+  // An empty store hosts nothing, so every apply fails.
+  ExpectMatchesShadow({}, {{7, 1, 1, false}});
+  // Replaying one write, or a whole prefix of history, is inert.
+  ExpectMatchesShadow({{1, 0}}, {{1, 10, 3, true},
+                                 {1, 10, 3, false},
+                                 {1, 20, 5, true},
+                                 {1, 10, 3, false},
+                                 {1, 20, 5, false}});
+}
+
+TEST(StoragePageStoreTest, RangeMatchesShadowMap) {
+  Wal wal;
+  auto page = MakePageStore(&wal);
+  std::map<ItemId, ItemCopy> shadow;
   for (ItemId i = 0; i < 40; ++i) {
-    map.Load(i * 3, static_cast<Value>(i));
     page->Load(i * 3, static_cast<Value>(i));
+    shadow[i * 3] = ItemCopy{static_cast<Value>(i), 0};
   }
-  std::vector<std::pair<ItemId, ItemCopy>> a, b;
-  map.Range(10, 7, a);
-  page->Range(10, 7, b);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second.value, b[i].second.value);
+  std::vector<std::pair<ItemId, ItemCopy>> want, got;
+  for (auto it = shadow.lower_bound(10);
+       it != shadow.end() && want.size() < 7; ++it) {
+    want.emplace_back(it->first, it->second);
   }
-  ASSERT_EQ(a.size(), 7u);
-  EXPECT_EQ(a[0].first, 12u);
+  page->Range(10, 7, got);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(got.size(), 7u);
+  EXPECT_EQ(got[0].first, 12u);
 }
 
-TEST(StorageEngineTest, AdoptIfNewerParity) {
-  Wal wal;
-  MapStore map;
-  auto page = MakePageStore(&wal);
-  map.Load(1, 5);
-  page->Load(1, 5);
-  EXPECT_EQ(map.AdoptIfNewer(1, 50, 3), page->AdoptIfNewer(1, 50, 3));
-  EXPECT_EQ(map.AdoptIfNewer(1, 40, 2), page->AdoptIfNewer(1, 40, 2));
-  EXPECT_EQ(map.AdoptIfNewer(9, 1, 1), page->AdoptIfNewer(9, 1, 1));
-  EXPECT_EQ(map.Get(1)->value, page->Get(1)->value);
+TEST(StoragePageStoreTest, AdoptIfNewerMatchesShadowMap) {
+  // Newer adopts, older is ignored, an item not hosted here is ignored.
+  ExpectMatchesShadow({{1, 5}}, {{1, 50, 3, true, true},
+                                 {1, 40, 2, false, true},
+                                 {9, 1, 1, false, true}});
+  // Apply and AdoptIfNewer share the stale-version gate, so refresh
+  // adoption interleaved with decision replay converges the same way.
+  ExpectMatchesShadow({{1, 0}}, {{1, 7, 2, true, true},
+                                 {1, 7, 2, false, true},
+                                 {1, 7, 2, false},
+                                 {1, 9, 4, true},
+                                 {1, 8, 3, false, true}});
 }
 
 // --- page store: ARIES crash / restart ------------------------------------

@@ -6,56 +6,10 @@
 #include <map>
 #include <random>
 
-#include "storage/local_store.h"
 #include "storage/wal.h"
 
 namespace rainbow {
 namespace {
-
-TEST(LocalStoreTest, LoadAndGet) {
-  LocalStore store;
-  store.Load(3, 42);
-  EXPECT_TRUE(store.Has(3));
-  EXPECT_FALSE(store.Has(4));
-  auto copy = store.Get(3);
-  ASSERT_TRUE(copy.ok());
-  EXPECT_EQ(copy->value, 42);
-  EXPECT_EQ(copy->version, 0u);
-  EXPECT_FALSE(store.Get(4).ok());
-}
-
-TEST(LocalStoreTest, ApplyAdvancesVersion) {
-  LocalStore store;
-  store.Load(1, 0);
-  EXPECT_TRUE(store.Apply(1, 10, 1));
-  EXPECT_TRUE(store.Apply(1, 20, 2));
-  auto copy = store.Get(1);
-  EXPECT_EQ(copy->value, 20);
-  EXPECT_EQ(copy->version, 2u);
-}
-
-TEST(LocalStoreTest, StaleApplyIgnored) {
-  LocalStore store;
-  store.Load(1, 0);
-  EXPECT_TRUE(store.Apply(1, 10, 2));
-  EXPECT_FALSE(store.Apply(1, 99, 2));  // duplicate version
-  EXPECT_FALSE(store.Apply(1, 99, 1));  // older version
-  EXPECT_EQ(store.Get(1)->value, 10);
-}
-
-TEST(LocalStoreTest, ApplyToUnknownItemFails) {
-  LocalStore store;
-  EXPECT_FALSE(store.Apply(7, 1, 1));
-}
-
-TEST(LocalStoreTest, AdoptIfNewer) {
-  LocalStore store;
-  store.Load(1, 5);
-  EXPECT_TRUE(store.AdoptIfNewer(1, 50, 3));
-  EXPECT_FALSE(store.AdoptIfNewer(1, 40, 2));  // older
-  EXPECT_FALSE(store.AdoptIfNewer(9, 1, 1));   // not hosted
-  EXPECT_EQ(store.Get(1)->value, 50);
-}
 
 WalRecord Prepared(TxnId txn, std::vector<WalRecord::Write> writes,
                    std::vector<SiteId> participants, bool three_phase = false) {
@@ -214,38 +168,6 @@ TEST(WalTest, FileRoundTrip) {
   EXPECT_FALSE(st.commit);
   EXPECT_FALSE(loaded.LoadFromFile(path + ".missing").ok());
   std::remove(path.c_str());
-}
-
-TEST(LocalStoreTest, ApplyIsIdempotent) {
-  // Recovery replays decisions; re-applying the exact same write must be
-  // a no-op (returns false, state unchanged) so replay order/multiplicity
-  // cannot change the committed state.
-  LocalStore store;
-  store.Load(1, 0);
-  EXPECT_TRUE(store.Apply(1, 10, 3));
-  EXPECT_FALSE(store.Apply(1, 10, 3));  // identical replay
-  EXPECT_EQ(store.Get(1)->value, 10);
-  EXPECT_EQ(store.Get(1)->version, 3u);
-  // Replaying a whole prefix of history is equally inert.
-  EXPECT_TRUE(store.Apply(1, 20, 5));
-  EXPECT_FALSE(store.Apply(1, 10, 3));
-  EXPECT_FALSE(store.Apply(1, 20, 5));
-  EXPECT_EQ(store.Get(1)->value, 20);
-  EXPECT_EQ(store.Get(1)->version, 5u);
-}
-
-TEST(LocalStoreTest, AdoptIfNewerIsIdempotent) {
-  LocalStore store;
-  store.Load(1, 0);
-  EXPECT_TRUE(store.AdoptIfNewer(1, 7, 2));
-  EXPECT_FALSE(store.AdoptIfNewer(1, 7, 2));  // identical replay
-  // Apply and AdoptIfNewer share the stale-version gate, so refresh
-  // adoption interleaved with decision replay converges the same way.
-  EXPECT_FALSE(store.Apply(1, 7, 2));
-  EXPECT_TRUE(store.Apply(1, 9, 4));
-  EXPECT_FALSE(store.AdoptIfNewer(1, 8, 3));
-  EXPECT_EQ(store.Get(1)->value, 9);
-  EXPECT_EQ(store.Get(1)->version, 4u);
 }
 
 TEST(WalTest, InDoubtCanonicalOrderRegardlessOfAppendOrder) {
