@@ -206,7 +206,7 @@ void ExpectMatchesShadow(const std::map<ItemId, Value>& initial,
   }
 }
 
-TEST(StoragePageStoreTest, ApplySequencesMatchShadowMap) {
+TEST(StorageEngineTest, MapAndPageAgreeOnApplySequences) {
   // A scripted mix of fresh, duplicate and stale applies over 50 items,
   // ending with a write to an item the store does not host.
   std::map<ItemId, Value> fifty;
@@ -222,19 +222,6 @@ TEST(StoragePageStoreTest, ApplySequencesMatchShadowMap) {
                               {25, 8, 9, true},
                               {25, 7, 4, false},
                               {99, 1, 1, false}});
-  // Each apply advances the version.
-  ExpectMatchesShadow({{1, 0}}, {{1, 10, 1, true}, {1, 20, 2, true}});
-  // Duplicate and older versions are ignored.
-  ExpectMatchesShadow({{1, 0}},
-                      {{1, 10, 2, true}, {1, 99, 2, false}, {1, 99, 1, false}});
-  // An empty store hosts nothing, so every apply fails.
-  ExpectMatchesShadow({}, {{7, 1, 1, false}});
-  // Replaying one write, or a whole prefix of history, is inert.
-  ExpectMatchesShadow({{1, 0}}, {{1, 10, 3, true},
-                                 {1, 10, 3, false},
-                                 {1, 20, 5, true},
-                                 {1, 10, 3, false},
-                                 {1, 20, 5, false}});
 }
 
 TEST(StoragePageStoreTest, RangeMatchesShadowMap) {
@@ -256,11 +243,50 @@ TEST(StoragePageStoreTest, RangeMatchesShadowMap) {
   EXPECT_EQ(got[0].first, 12u);
 }
 
-TEST(StoragePageStoreTest, AdoptIfNewerMatchesShadowMap) {
+TEST(StorageEngineTest, AdoptIfNewerParity) {
   // Newer adopts, older is ignored, an item not hosted here is ignored.
   ExpectMatchesShadow({{1, 5}}, {{1, 50, 3, true, true},
                                  {1, 40, 2, false, true},
                                  {9, 1, 1, false, true}});
+}
+
+// The LocalStoreTest suite pins the store contract one rule at a time;
+// each script runs on PageStore against the std::map shadow.
+
+TEST(LocalStoreTest, ApplyAdvancesVersion) {
+  ExpectMatchesShadow({{1, 0}}, {{1, 10, 1, true}, {1, 20, 2, true}});
+}
+
+TEST(LocalStoreTest, StaleApplyIgnored) {
+  // Duplicate and older versions are ignored.
+  ExpectMatchesShadow({{1, 0}},
+                      {{1, 10, 2, true}, {1, 99, 2, false}, {1, 99, 1, false}});
+}
+
+TEST(LocalStoreTest, ApplyToUnknownItemFails) {
+  // An empty store hosts nothing, so every apply fails.
+  ExpectMatchesShadow({}, {{7, 1, 1, false}});
+}
+
+TEST(LocalStoreTest, ApplyIsIdempotent) {
+  // Recovery replays decisions; replaying one write, or a whole prefix
+  // of history, must be inert so replay order and multiplicity cannot
+  // change the committed state.
+  ExpectMatchesShadow({{1, 0}}, {{1, 10, 3, true},
+                                 {1, 10, 3, false},
+                                 {1, 20, 5, true},
+                                 {1, 10, 3, false},
+                                 {1, 20, 5, false}});
+}
+
+TEST(LocalStoreTest, AdoptIfNewer) {
+  // The hosted item ends at the adopted value.
+  ExpectMatchesShadow({{1, 5}}, {{1, 50, 3, true, true},
+                                 {1, 40, 2, false, true},
+                                 {9, 1, 1, false, true}});
+}
+
+TEST(LocalStoreTest, AdoptIfNewerIsIdempotent) {
   // Apply and AdoptIfNewer share the stale-version gate, so refresh
   // adoption interleaved with decision replay converges the same way.
   ExpectMatchesShadow({{1, 0}}, {{1, 7, 2, true, true},
