@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -85,9 +86,11 @@ inline std::map<std::string, double> ParseFlatJson(const std::string& path) {
 }
 
 /// One baseline comparison: fails (returns false) when `current` is
-/// worse than `allowed_ratio` times the baseline value. `higher_is_better`
-/// flips the direction for throughput-style metrics. `slack` absorbs
-/// quantization around zero-valued allocation baselines.
+/// worse than `allowed_ratio` times the baseline value, or when `key` is
+/// missing from either side (a renamed or dropped key must not switch
+/// its gate off). `higher_is_better` flips the direction for
+/// throughput-style metrics. `slack` absorbs quantization around
+/// zero-valued allocation baselines.
 inline bool CheckMetric(const std::map<std::string, double>& baseline,
                         const std::map<std::string, double>& current,
                         const std::string& key, double allowed_ratio,
@@ -95,9 +98,9 @@ inline bool CheckMetric(const std::map<std::string, double>& baseline,
   auto b = baseline.find(key);
   auto c = current.find(key);
   if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
+    std::printf("  check %-28s MISSING (from %s)\n", key.c_str(),
                 b == baseline.end() ? "baseline" : "current run");
-    return true;
+    return false;
   }
   bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
                              : c->second <= b->second * allowed_ratio + slack;
@@ -109,21 +112,45 @@ inline bool CheckMetric(const std::map<std::string, double>& baseline,
 
 /// Exact comparison for deterministic counters (commits, messages): a
 /// legitimate behaviour change must regenerate the baseline in the same
-/// change (bench/README.md).
+/// change (bench/README.md). A key missing from either side fails.
 inline bool CheckExact(const std::map<std::string, double>& baseline,
                        const std::map<std::string, double>& current,
                        const std::string& key) {
   auto b = baseline.find(key);
   auto c = current.find(key);
   if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
+    std::printf("  check %-28s MISSING (from %s)\n", key.c_str(),
                 b == baseline.end() ? "baseline" : "current run");
-    return true;
+    return false;
   }
   bool ok = b->second == c->second;
   std::printf("  check %-28s %s (current %.0f vs baseline %.0f, exact)\n",
               key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second);
   return ok;
+}
+
+/// True (after printing why) when --out and --check name the same file,
+/// after resolving `.`, `..` and symlinks, or as hard links: the report
+/// would overwrite the baseline before it is read back, so the bench
+/// must refuse to run.
+inline bool OutOverwritesBaseline(const std::string& out_path,
+                                  const std::string& check_path) {
+  if (check_path.empty()) return false;
+  namespace fs = std::filesystem;
+  std::error_code ec, out_ec, check_ec;
+  bool same = fs::equivalent(out_path, check_path, ec);
+  if (!same) {
+    fs::path out = fs::weakly_canonical(out_path, out_ec);
+    fs::path check = fs::weakly_canonical(check_path, check_ec);
+    same = !out_ec && !check_ec && out == check;
+  }
+  if (!same) return false;
+  std::fprintf(stderr,
+               "--out %s and --check %s name the same file: the report would "
+               "overwrite the baseline it is checked against; pass --out "
+               "elsewhere\n",
+               out_path.c_str(), check_path.c_str());
+  return true;
 }
 
 }  // namespace rainbow::bench

@@ -25,6 +25,8 @@
 // Flags:
 //   --out FILE        write the JSON report here (default BENCH_M6.json)
 //   --check FILE      compare against a baseline JSON; exit 1 on regression
+//                     or on a gated key missing from either side; exit 2
+//                     if --out names the same file
 //   --seed-json FILE  merge a pre-change run's numbers as seed_* keys
 //   --no-gate         skip the zero-allocation steady-state gates (only
 //                     for measuring pre-change code, which fails them)
@@ -92,11 +94,10 @@ LatencyConfig BenchLatency() {
 
 struct MsgHarness {
   Simulator sim;
-  TraceLog trace;
   Network net;
   uint64_t received = 0;
 
-  MsgHarness() : net(&sim, BenchLatency(), Rng(7), &trace) {
+  MsgHarness() : net(&sim, BenchLatency(), Rng(7)) {
     for (SiteId s = 0; s < 4; ++s) {
       net.RegisterHandler(s, [this](const Message&) { ++received; });
     }
@@ -254,6 +255,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (bench::OutOverwritesBaseline(out_path, check_path)) return 2;
 
   bench::PrintHeader("M6", "event/message hot path (alloc counts + throughput)");
   Report report;

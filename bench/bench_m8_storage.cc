@@ -30,6 +30,8 @@
 // Flags:
 //   --out FILE    write the JSON report here (default BENCH_M8.json)
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
+//                 or on a gated key missing from either side; exit 2
+//                 if --out names the same file
 //   --items N     override the item count (default 1,000,000)
 
 #include <chrono>
@@ -98,6 +100,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (bench::OutOverwritesBaseline(out_path, check_path)) return 2;
 
   bench::PrintHeader("M8", "page storage engine (B+ tree / buffer pool / ARIES)");
   Report report;

@@ -13,6 +13,8 @@
 // Flags:
 //   --out FILE    write the JSON report here (default BENCH_M9.json)
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
+//                 or on a gated key missing from either side; exit 2
+//                 if --out names the same file
 //   --txns N      transactions to drive (default 2000)
 
 #include <atomic>
@@ -90,6 +92,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (bench::OutOverwritesBaseline(out_path, check_path)) return 2;
 
   bench::PrintHeader("M9", "large-topology hot path (" +
                                std::to_string(kSites) + " sites, " +

@@ -4,20 +4,20 @@ namespace rainbow {
 
 void Encoder::PutU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    buf_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
 
 void Encoder::PutU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    buf_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
 
 void Encoder::PatchU32(size_t pos, uint32_t v) {
   assert(pos + 4 <= size());
   for (int i = 0; i < 4; ++i) {
-    (*buf_)[base_ + pos + i] = static_cast<uint8_t>(v >> (8 * i));
+    buf_[pos + i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 

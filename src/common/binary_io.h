@@ -13,22 +13,10 @@ namespace rainbow {
 
 /// Append-only binary writer (little-endian, length-prefixed vectors).
 /// Shared by the message wire codec (net/codec.h) and the WAL's on-disk
-/// format (storage/wal.h).
-///
-/// Two modes: the default constructor owns its buffer (Take() moves it
-/// out — the WAL path), while the external-buffer constructor appends
-/// into a caller-supplied vector — typically an Arena's storage — so a
-/// hot encode loop reuses one allocation (the codec path). In external
-/// mode the writer tracks the base offset it started at; written()
-/// spans exactly the bytes this Encoder produced.
+/// format (storage/wal.h). Take() moves the finished buffer out.
 class Encoder {
  public:
-  Encoder() : buf_(&owned_) {}
-  /// Appends into `*external` (not owned; must outlive the Encoder).
-  explicit Encoder(std::vector<uint8_t>* external)
-      : buf_(external), base_(external->size()) {}
-
-  void PutU8(uint8_t v) { buf_->push_back(v); }
+  void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
@@ -43,31 +31,18 @@ class Encoder {
     for (const T& x : v) put_one(x);
   }
 
-  /// Bytes written by this Encoder so far (excludes anything that was
-  /// already in an external buffer).
-  size_t size() const { return buf_->size() - base_; }
+  /// Bytes written so far.
+  size_t size() const { return buf_.size(); }
 
-  /// Overwrites the u32 previously written at offset `pos` (relative to
-  /// this Encoder's first byte) — length backpatching for frames whose
-  /// size isn't known up front.
+  /// Overwrites the u32 previously written at offset `pos` — length
+  /// backpatching for frames whose size isn't known up front.
   void PatchU32(size_t pos, uint32_t v);
 
-  const std::vector<uint8_t>& buffer() const { return *buf_; }
-  std::vector<uint8_t> Take() {
-    assert(buf_ == &owned_ && "Take() requires the owning constructor");
-    return std::move(owned_);
-  }
-
-  /// View of the bytes this Encoder wrote. Valid until the underlying
-  /// buffer is next written or destroyed.
-  std::span<const uint8_t> written() const {
-    return {buf_->data() + base_, buf_->size() - base_};
-  }
+  const std::vector<uint8_t>& buffer() const { return buf_; }
+  std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
-  std::vector<uint8_t> owned_;
-  std::vector<uint8_t>* buf_;
-  size_t base_ = 0;
+  std::vector<uint8_t> buf_;
 };
 
 /// Bounds-checked binary reader over an encoded buffer. Every getter

@@ -1,7 +1,6 @@
 #ifndef RAINBOW_COMMON_TRACE_H_
 #define RAINBOW_COMMON_TRACE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -9,64 +8,9 @@
 
 namespace rainbow {
 
-/// Categories of trace events, so observers can filter.
-enum class TraceCategory {
-  kTxn,      ///< transaction lifecycle (arrive, commit, abort)
-  kRcp,      ///< replication-control steps (quorum build, copy access)
-  kCcp,      ///< concurrency-control decisions (grant, wait, victim)
-  kAcp,      ///< atomic-commit phases (prepare, vote, decision)
-  kNet,      ///< message send/deliver/drop
-  kFault,    ///< injected failures and recoveries
-  kSite,     ///< site-local events (crash, recover, restart)
-  kGeneral,
-};
-
-const char* TraceCategoryName(TraceCategory c);
-
-/// One trace record: what happened, where, and at what simulated time.
-/// The progress monitor renders these as the "execution history" view
-/// that the Rainbow GUI shows in real time.
-struct TraceEvent {
-  SimTime time = 0;
-  TraceCategory category = TraceCategory::kGeneral;
-  SiteId site = kInvalidSite;
-  std::string text;
-};
-
-/// Collects trace events. Cheap when disabled (the common case for
-/// large benchmark runs); tests and the interactive example enable it
-/// to assert on / display execution histories.
-class TraceLog {
- public:
-  /// When disabled, Record() is a no-op.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  /// Caps memory; older events are discarded beyond this count.
-  void set_capacity(size_t cap) { capacity_ = cap; }
-
-  void Record(SimTime time, TraceCategory category, SiteId site,
-              std::string text);
-
-  const std::vector<TraceEvent>& events() const { return events_; }
-  void Clear() { events_.clear(); }
-
-  /// Renders events (optionally only one category) as "time [cat] @site text".
-  std::string Render() const;
-  std::string Render(TraceCategory only) const;
-
-  /// Number of recorded events whose text contains `needle`.
-  size_t CountContaining(const std::string& needle) const;
-
- private:
-  bool enabled_ = false;
-  size_t capacity_ = 1 << 20;
-  std::vector<TraceEvent> events_;
-};
-
-// ---------------------------------------------------------------------------
-// Structured per-transaction tracing
-// ---------------------------------------------------------------------------
+// The one trace channel: typed TraceRecords in a TraceCollector. The
+// execution window, per-transaction timelines, Chrome export and the
+// offline checker all read it (stats/, verify/).
 
 /// How much the structured TraceCollector records.
 enum class TraceDetail {
@@ -103,6 +47,18 @@ enum class TraceEventKind {
   kMsgDrop,          ///< kFull only: message dropped (detail = cause)
   kTxnCommit,        ///< transaction committed at its coordinator
   kTxnAbort,         ///< transaction aborted (detail = cause)
+  kSiteState,        ///< detail = crash | recover | suspect (peer = suspected)
+  kRestart,          ///< storage restart pass done (detail = its counters)
+  kRedoApplied,      ///< recovery installed a decided-but-unapplied txn
+  kReinstatedInDoubt,  ///< recovery reinstated a prepared, undecided txn
+  kCloserDone,       ///< decision resends over (arg = 1 all acked / 0 gave up)
+  kRefreshAdopted,   ///< recovery refresh adopted newer copies (arg = #copies)
+  kDeadlockProbes,   ///< blocked txn sent edge-chasing probes (arg = #probes)
+  kLockWaitTimeout,  ///< queued CC request timed out (arg = 1 write / 0 read)
+  kOrphanCleaned,    ///< participant aborted an orphan unilaterally
+  kTermination,      ///< 3PC termination: detail start, or decision (arg = 1
+                     ///< commit / 0 abort)
+  kFaultInjected,    ///< injector applied a fault (detail = kind [amount])
   kCount,
 };
 

@@ -97,7 +97,6 @@ std::string SystemConfig::ToText() const {
   os << "[system]\n";
   os << "seed = " << seed << "\n";
   os << "num_sites = " << num_sites << "\n";
-  os << "enable_trace = " << (enable_trace ? "true" : "false") << "\n";
   os << "record_history = " << (record_history ? "true" : "false") << "\n";
   os << "stats_bucket = " << stats_bucket << "\n";
   os << "trace_enabled = " << (trace_enabled ? "true" : "false") << "\n";
@@ -209,7 +208,14 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
       // Validate() accepts only 1.
       RAINBOW_RETURN_IF_ERROR(into(cfg.sim_shards));
     } else if (key == "enable_trace") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.enable_trace, as_bool());
+      // Files saved by earlier builds carry "enable_trace = false"; the
+      // string trace log it switched on was removed.
+      RAINBOW_ASSIGN_OR_RETURN(bool on, as_bool());
+      if (on) {
+        return Status::InvalidArgument(
+            "enable_trace = true: the string trace log was removed; set "
+            "trace_enabled = true for the typed trace");
+      }
     } else if (key == "record_history") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.record_history, as_bool());
     } else if (key == "stats_bucket") {

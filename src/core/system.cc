@@ -19,15 +19,13 @@ Result<std::unique_ptr<RainbowSystem>> RainbowSystem::Create(
 }
 
 Status RainbowSystem::Init() {
-  trace_.set_enabled(config_.enable_trace);
   collector_.set_detail(config_.trace_enabled ? config_.trace_detail
                                               : TraceDetail::kOff);
   history_.set_enabled(config_.record_history);
   monitor_.set_bucket_width(config_.stats_bucket);
 
   Rng root(config_.seed);
-  net_ = std::make_unique<Network>(&sim_, config_.latency, root.Fork(),
-                                   &trace_);
+  net_ = std::make_unique<Network>(&sim_, config_.latency, root.Fork());
   net_->set_loss_probability(config_.message_loss);
   net_->set_collector(&collector_);
   net_->set_verify_codec(config_.verify_codec);
@@ -53,8 +51,7 @@ Status RainbowSystem::Init() {
   }
   RAINBOW_RETURN_IF_ERROR(catalog_.Validate());
 
-  name_server_ =
-      std::make_unique<NameServer>(catalog_, net_.get(), &trace_);
+  name_server_ = std::make_unique<NameServer>(catalog_, net_.get());
   name_server_->Start();
 
   for (uint32_t i = 0; i < config_.num_sites; ++i) {
@@ -63,7 +60,6 @@ Status RainbowSystem::Init() {
     env.config = &config_.protocols;
     env.seed = config_.seed;
     env.sim = &sim_;
-    env.trace = &trace_;
     env.collector = &collector_;
     env.monitor = &monitor_;
     env.history = &history_;

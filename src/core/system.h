@@ -51,7 +51,6 @@ class RainbowSystem {
   // --- measurement ---
 
   ProgressMonitor& monitor() { return monitor_; }
-  TraceLog& trace() { return trace_; }
   TraceCollector& collector() { return collector_; }
   const TraceCollector& collector() const { return collector_; }
   HistoryRecorder& history() { return history_; }
@@ -99,7 +98,6 @@ class RainbowSystem {
 
   SystemConfig config_;
   Simulator sim_;
-  TraceLog trace_;
   TraceCollector collector_;
   Rng client_rng_;
   ProgressMonitor monitor_;

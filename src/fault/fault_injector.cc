@@ -37,7 +37,7 @@ const char* FaultKindName(FaultEvent::Kind k) {
 
 namespace {
 
-/// Human-readable intensity for trace lines ("0.25", "3", "1500").
+/// Human-readable intensity for trace details ("0.25", "3", "1500").
 std::string AmountString(double amount) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", amount);
@@ -47,6 +47,23 @@ std::string AmountString(double amount) {
 }  // namespace
 
 FaultInjector::FaultInjector(RainbowSystem* system) : system_(system) {}
+
+void FaultInjector::TraceFault(const FaultEvent& e, bool with_amount) {
+  TraceCollector& collector = system_->collector();
+  if (!collector.enabled()) return;
+  TraceRecord rec;
+  rec.time = system_->sim().Now();
+  rec.kind = TraceEventKind::kFaultInjected;
+  rec.site = e.site;
+  rec.peer = e.peer;
+  rec.detail = FaultKindName(e.kind);
+  if (e.kind == FaultEvent::Kind::kCrashNameServer ||
+      e.kind == FaultEvent::Kind::kRecoverNameServer) {
+    rec.site = kNameServerId;
+  }
+  if (with_amount) rec.detail += " " + AmountString(e.amount);
+  collector.Emit(std::move(rec));
+}
 
 void FaultInjector::Schedule(const FaultEvent& event) {
   FaultEvent copy = event;
@@ -62,9 +79,7 @@ bool FaultInjector::SiteUp(SiteId s) const {
 }
 
 void FaultInjector::Apply(const FaultEvent& e) {
-  TraceLog& trace = system_->trace();
   Network& net = system_->net();
-  const SimTime now = system_->sim().Now();
   switch (e.kind) {
     case FaultEvent::Kind::kCrashSite:
       // Idempotent: a site that is already down (scripted event racing
@@ -72,55 +87,47 @@ void FaultInjector::Apply(const FaultEvent& e) {
       // the no-op is not counted.
       if (!SiteUp(e.site)) return;
       ++crashes_;
-      trace.Record(now, TraceCategory::kFault, e.site, "inject crash");
+      TraceFault(e);
       system_->CrashSite(e.site);
       break;
     case FaultEvent::Kind::kRecoverSite:
       if (SiteUp(e.site)) return;
       ++recoveries_;
-      trace.Record(now, TraceCategory::kFault, e.site, "inject recovery");
+      TraceFault(e);
       system_->RecoverSite(e.site);
       break;
     case FaultEvent::Kind::kLinkDown:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link down to " + std::to_string(e.peer));
+      TraceFault(e);
       net.SetLinkUp(e.site, e.peer, false);
       break;
     case FaultEvent::Kind::kLinkUp:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link up to " + std::to_string(e.peer));
+      TraceFault(e);
       net.SetLinkUp(e.site, e.peer, true);
       break;
     case FaultEvent::Kind::kLinkDownOneWay:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "one-way link down to " + std::to_string(e.peer));
+      TraceFault(e);
       net.SetLinkUpOneWay(e.site, e.peer, false);
       break;
     case FaultEvent::Kind::kLinkUpOneWay:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "one-way link up to " + std::to_string(e.peer));
+      TraceFault(e);
       net.SetLinkUpOneWay(e.site, e.peer, true);
       break;
     case FaultEvent::Kind::kPartition:
-      trace.Record(now, TraceCategory::kFault, kInvalidSite,
-                   "partition installed");
+      TraceFault(e);
       net.SetPartitions(e.groups);
       break;
     case FaultEvent::Kind::kHeal:
-      trace.Record(now, TraceCategory::kFault, kInvalidSite,
-                   "partition healed");
+      TraceFault(e);
       net.HealPartitions();
       break;
     case FaultEvent::Kind::kCrashNameServer:
       if (system_->name_server().crashed()) return;
-      trace.Record(now, TraceCategory::kFault, kNameServerId,
-                   "name server crash");
+      TraceFault(e);
       system_->name_server().Crash();
       break;
     case FaultEvent::Kind::kRecoverNameServer:
       if (!system_->name_server().crashed()) return;
-      trace.Record(now, TraceCategory::kFault, kNameServerId,
-                   "name server recovery");
+      TraceFault(e);
       system_->name_server().Recover();
       break;
     case FaultEvent::Kind::kLinkLoss: {
@@ -129,9 +136,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.loss = e.amount;
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link loss " + AmountString(e.amount) + " to " +
-                       std::to_string(e.peer));
+      TraceFault(e, /*with_amount=*/true);
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
@@ -141,9 +146,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.delay_multiplier = e.amount;
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link delay x" + AmountString(e.amount) + " to " +
-                       std::to_string(e.peer));
+      TraceFault(e, /*with_amount=*/true);
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
@@ -153,9 +156,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.dup_probability = e.amount;
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link dup " + AmountString(e.amount) + " to " +
-                       std::to_string(e.peer));
+      TraceFault(e, /*with_amount=*/true);
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
@@ -165,15 +166,12 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.reorder_jitter = static_cast<SimTime>(e.amount);
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link reorder jitter " + AmountString(e.amount) + "us to " +
-                       std::to_string(e.peer));
+      TraceFault(e, /*with_amount=*/true);
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
     case FaultEvent::Kind::kClearLinkFaults:
-      trace.Record(now, TraceCategory::kFault, kInvalidSite,
-                   "link overrides cleared");
+      TraceFault(e);
       net.ClearLinkOverrides();
       break;
     case FaultEvent::Kind::kStorageTorn:
@@ -188,9 +186,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
       } else if (e.kind == FaultEvent::Kind::kStorageReadFlip) {
         kind = StorageFaultKind::kReadBitFlip;
       }
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   std::string("storage ") + StorageFaultKindName(kind) +
-                       " p=" + AmountString(e.amount));
+      TraceFault(e, /*with_amount=*/true);
       // Arms the DISK, which (like the WAL) survives Site::Crash(), so
       // a crashed site's storage faults persist into its restart.
       system_->site(e.site)->mutable_store().SetStorageFault(kind, e.amount);

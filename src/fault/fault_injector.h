@@ -150,6 +150,9 @@ class FaultInjector {
 
  private:
   void Apply(const FaultEvent& event);
+  /// Records an applied fault in the typed trace (detail = FaultKindName,
+  /// plus the amount for override kinds); formats only when tracing.
+  void TraceFault(const FaultEvent& e, bool with_amount = false);
   void ScheduleNextForSite(SiteId s, bool currently_up);
   bool SiteUp(SiteId s) const;
 

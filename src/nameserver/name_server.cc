@@ -2,10 +2,9 @@
 
 namespace rainbow {
 
-NameServer::NameServer(Catalog catalog, Network* net, TraceLog* trace)
+NameServer::NameServer(Catalog catalog, Network* net)
     : catalog_(std::move(catalog)),
       net_(net),
-      trace_(trace),
       rpc_(std::make_unique<RpcEndpoint>(net->sim(), net, kNameServerId,
                                          /*seed=*/0)) {}
 
@@ -43,11 +42,6 @@ void NameServer::HandleMessage(const Message& m, const RpcContext& ctx) {
     reply.votes = (*item)->votes;
     reply.read_quorum = (*item)->read_quorum;
     reply.write_quorum = (*item)->write_quorum;
-  }
-  if (trace_ && trace_->enabled()) {
-    trace_->Record(net_->sim()->Now(), TraceCategory::kGeneral, kNameServerId,
-                   "lookup item " + std::to_string(req->item) +
-                       (reply.found ? "" : " (not found)"));
   }
   if (ctx.valid()) {
     rpc_->Reply(ctx, reply);

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "catalog/catalog.h"
-#include "common/trace.h"
 #include "net/network.h"
 #include "net/rpc.h"
 
@@ -22,7 +21,7 @@ namespace rainbow {
 /// this in the default configuration).
 class NameServer {
  public:
-  NameServer(Catalog catalog, Network* net, TraceLog* trace);
+  NameServer(Catalog catalog, Network* net);
 
   /// Registers the network handler. Call once.
   void Start();
@@ -39,7 +38,6 @@ class NameServer {
 
   Catalog catalog_;
   Network* net_;
-  TraceLog* trace_;
   /// Replica-side RPC endpoint: suppresses retransmitted lookups and
   /// re-answers them from the reply cache. The name server never makes
   /// outgoing calls.

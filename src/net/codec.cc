@@ -376,14 +376,6 @@ std::vector<uint8_t> EncodePayload(const Payload& payload) {
   return e.Take();
 }
 
-std::span<const uint8_t> EncodePayloadTo(Arena& arena,
-                                         const Payload& payload) {
-  arena.Reset();
-  Encoder e(&arena.storage());
-  EncodePayloadBody(e, payload);
-  return e.written();
-}
-
 Result<Payload> DecodePayload(std::span<const uint8_t> buf) {
   Decoder d(buf);
   RAINBOW_ASSIGN_OR_RETURN(uint8_t kind, d.GetU8());
@@ -407,19 +399,6 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
   EncodePayloadBody(e, message.payload);
   e.PatchU32(len_pos, static_cast<uint32_t>(e.size() - payload_start));
   return e.Take();
-}
-
-std::span<const uint8_t> EncodeMessageTo(Arena& arena,
-                                         const Message& message) {
-  arena.Reset();
-  Encoder e(&arena.storage());
-  EncodeEnvelope(e, message);
-  size_t len_pos = e.size();
-  e.PutU32(0);  // payload length, backpatched below
-  size_t payload_start = e.size();
-  EncodePayloadBody(e, message.payload);
-  e.PatchU32(len_pos, static_cast<uint32_t>(e.size() - payload_start));
-  return e.written();
 }
 
 Result<Message> DecodeMessage(std::span<const uint8_t> buf) {

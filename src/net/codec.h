@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/binary_io.h"
 #include "common/result.h"
 #include "net/message.h"
@@ -16,21 +15,13 @@ namespace rainbow {
 // simulator can round-trip every message through it to guarantee the
 // codec stays complete (SystemConfig::verify_codec).
 //
-// Two encode surfaces: the vector-returning forms allocate a fresh
-// buffer per call (convenient for tests and tools), and the arena forms
-// append into a caller-owned reusable Arena and return a view — the hot
-// path (per-lane codec verification, trace export at full detail) pays
-// no per-message allocation or copy. Decoding is zero-copy throughout:
-// both decoders take a span-style view (a const vector binds
-// implicitly), and DecodeMessage parses the payload region in place
-// instead of copying it out.
+// Encoding returns a fresh buffer per call. Decoding is zero-copy: both
+// decoders take a span-style view (a const vector binds implicitly), and
+// DecodeMessage parses the payload region in place instead of copying
+// it out.
 
 /// Serializes a payload: one kind byte followed by the fields.
 std::vector<uint8_t> EncodePayload(const Payload& payload);
-
-/// Serializes a payload into `arena` (resetting it first). The returned
-/// view is valid until the arena's next Reset() or write.
-std::span<const uint8_t> EncodePayloadTo(Arena& arena, const Payload& payload);
 
 /// Parses a payload; fails on unknown kind bytes, truncated buffers, or
 /// trailing garbage.
@@ -38,9 +29,6 @@ Result<Payload> DecodePayload(std::span<const uint8_t> buf);
 
 /// Serializes a full message (envelope + payload) in one pass.
 std::vector<uint8_t> EncodeMessage(const Message& message);
-
-/// Arena form of EncodeMessage; same lifetime rule as EncodePayloadTo.
-std::span<const uint8_t> EncodeMessageTo(Arena& arena, const Message& message);
 
 Result<Message> DecodeMessage(std::span<const uint8_t> buf);
 

@@ -115,10 +115,8 @@ std::string NetworkStats::Render() const {
   return os.str();
 }
 
-Network::Network(Simulator* sim, LatencyConfig latency, Rng rng,
-                 TraceLog* trace)
+Network::Network(Simulator* sim, LatencyConfig latency, Rng rng)
     : sim_(sim),
-      trace_(trace),
       latency_(latency, rng.Fork()),
       site_seed_base_(rng.Next()) {}
 
@@ -274,17 +272,15 @@ void Network::SendMessage(Message msg) {
 
   size_t size = PayloadSizeBytes(msg.payload);
   if (verify_codec_) {
-    // Arena-backed round trip: encode into the reusable arena
-    // and decode the view in place — no per-message buffer allocation
-    // or copy on codec-verified runs.
-    std::span<const uint8_t> wire = EncodePayloadTo(arena_, msg.payload);
+    // Round trip through the wire codec: a payload the codec cannot
+    // reproduce is dropped and counted.
+    std::vector<uint8_t> wire = EncodePayload(msg.payload);
     size = wire.size() + 33;  // payload bytes + envelope
     Result<Payload> decoded = DecodePayload(wire);
     if (!decoded.ok()) {
       stats_.codec_failures++;
-      if (trace_ && trace_->enabled()) {
-        trace_->Record(sim_->Now(), TraceCategory::kNet, msg.from,
-                       "CODEC FAILURE " + decoded.status().ToString());
+      if (collector_ && collector_->full()) {
+        EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from, "codec");
       }
       return;
     }
@@ -294,10 +290,6 @@ void Network::SendMessage(Message msg) {
 
   if (!IsSiteUp(msg.from)) {
     stats_.RecordDrop(DropCause::kSourceDown);
-    if (trace_ && trace_->enabled()) {
-      trace_->Record(sim_->Now(), TraceCategory::kNet, msg.from,
-                     "DROP(source down) " + msg.Describe());
-    }
     if (collector_ && collector_->full()) {
       EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from,
                        DropCauseName(DropCause::kSourceDown));
@@ -307,10 +299,6 @@ void Network::SendMessage(Message msg) {
   if (msg.from != msg.to && loss_probability_ > 0 &&
       rng.NextBool(loss_probability_)) {
     stats_.RecordDrop(DropCause::kRandomLoss);
-    if (trace_ && trace_->enabled()) {
-      trace_->Record(sim_->Now(), TraceCategory::kNet, msg.from,
-                     "DROP(random) " + msg.Describe());
-    }
     if (collector_ && collector_->full()) {
       EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from,
                        DropCauseName(DropCause::kRandomLoss));
@@ -326,10 +314,6 @@ void Network::SendMessage(Message msg) {
     if (const LinkOverride* o = FindLinkOverride(msg.from, msg.to)) {
       if (o->loss > 0 && rng.NextBool(o->loss)) {
         stats_.RecordDrop(DropCause::kLinkLoss);
-        if (trace_ && trace_->enabled()) {
-          trace_->Record(sim_->Now(), TraceCategory::kNet, msg.from,
-                         "DROP(link loss) " + msg.Describe());
-        }
         if (collector_ && collector_->full()) {
           EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from,
                            DropCauseName(DropCause::kLinkLoss));
@@ -356,10 +340,6 @@ void Network::SendMessage(Message msg) {
   // order, so dropping it would change same-seed traces of delay-fault
   // runs.
   if (msg.from != msg.to) delay = std::max<SimTime>(delay, 1);
-  if (trace_ && trace_->enabled()) {
-    trace_->Record(sim_->Now(), TraceCategory::kNet, msg.from,
-                   "SEND " + msg.Describe());
-  }
   if (collector_ && collector_->full()) {
     EmitMessageEvent(TraceEventKind::kMsgSend, msg, msg.from, "");
   }
@@ -492,10 +472,6 @@ void Network::Deliver(const Message& msg) {
   // while a message is in flight drop it.
   if (!IsSiteUp(msg.to)) {
     stats_.RecordDrop(DropCause::kDestinationDown);
-    if (trace_ && trace_->enabled()) {
-      trace_->Record(sim_->Now(), TraceCategory::kNet, msg.to,
-                     "DROP(dest down) " + msg.Describe());
-    }
     if (collector_ && collector_->full()) {
       EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.to,
                        DropCauseName(DropCause::kDestinationDown));
@@ -513,10 +489,6 @@ void Network::Deliver(const Message& msg) {
     }
     if (link_down) {
       stats_.RecordDrop(DropCause::kLinkDown);
-      if (trace_ && trace_->enabled()) {
-        trace_->Record(sim_->Now(), TraceCategory::kNet, msg.to,
-                       "DROP(link down) " + msg.Describe());
-      }
       if (collector_ && collector_->full()) {
         EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.to,
                          DropCauseName(DropCause::kLinkDown));
@@ -525,10 +497,6 @@ void Network::Deliver(const Message& msg) {
     }
     if (!SameGroup(msg.from, msg.to)) {
       stats_.RecordDrop(DropCause::kPartition);
-      if (trace_ && trace_->enabled()) {
-        trace_->Record(sim_->Now(), TraceCategory::kNet, msg.to,
-                       "DROP(partition) " + msg.Describe());
-      }
       if (collector_ && collector_->full()) {
         EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.to,
                          DropCauseName(DropCause::kPartition));
@@ -542,10 +510,6 @@ void Network::Deliver(const Message& msg) {
     return;
   }
   stats_.RecordDeliver(msg);
-  if (trace_ && trace_->enabled()) {
-    trace_->Record(sim_->Now(), TraceCategory::kNet, msg.to,
-                   "RECV " + msg.Describe());
-  }
   if (collector_ && collector_->full()) {
     EmitMessageEvent(TraceEventKind::kMsgRecv, msg, msg.to, "");
   }

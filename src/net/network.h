@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -168,7 +167,7 @@ class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  Network(Simulator* sim, LatencyConfig latency, Rng rng, TraceLog* trace);
+  Network(Simulator* sim, LatencyConfig latency, Rng rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -300,7 +299,6 @@ class Network {
   uint32_t AcquireSlot();
 
   Simulator* sim_;
-  TraceLog* trace_;
   TraceCollector* collector_ = nullptr;
   NetworkStats stats_;
   LatencyModel latency_;
@@ -324,10 +322,6 @@ class Network {
   std::vector<Batch> batches_;
   std::vector<uint32_t> batch_free_;
   std::vector<uint32_t> open_batch_;
-  /// Reusable encode buffer for the codec-verification round trip:
-  /// capacity persists across messages, so verified runs stop paying a
-  /// per-message allocation.
-  Arena arena_;
 
   /// Per-site streams indexed by SiteSlot, grown as sites register or
   /// first send.

@@ -102,12 +102,6 @@ void Site::Respond(const RpcContext& ctx, SiteId to, Payload payload) {
   }
 }
 
-void Site::Trace(TraceCategory cat, const std::string& text) {
-  if (env_.trace && env_.trace->enabled()) {
-    env_.trace->Record(Now(), cat, id_, text);
-  }
-}
-
 void Site::EmitTrace(TraceRecord rec) {
   if (!tracing()) return;
   rec.time = Now();
@@ -123,7 +117,13 @@ bool Site::IsSuspected(SiteId s) const {
 void Site::Suspect(SiteId s) {
   if (s == id_) return;
   suspected_until_[s] = Now() + env_.config->suspicion_ttl;
-  Trace(TraceCategory::kSite, StringPrintf("suspecting site %u", s));
+  if (tracing()) {
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSiteState;
+    rec.peer = s;
+    rec.detail = "suspect";
+    EmitTrace(std::move(rec));
+  }
 }
 
 std::set<SiteId> Site::SuspectedSet() const {
@@ -215,7 +215,12 @@ void Site::CoordinatorFinished(TxnId txn) { coordinators_.erase(txn); }
 void Site::Crash() {
   if (crashed_) return;
   crashed_ = true;
-  Trace(TraceCategory::kSite, "CRASH");
+  if (tracing()) {
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSiteState;
+    rec.detail = "crash";
+    EmitTrace(std::move(rec));
+  }
   env_.net->SetSiteUp(id_, false);
   // Volatile state dies. Clients of in-flight homed transactions get a
   // site-failure outcome.
@@ -238,23 +243,30 @@ void Site::Recover() {
   if (!crashed_) return;
   crashed_ = false;
   ++epoch_;
-  Trace(TraceCategory::kSite, "RECOVER");
+  if (tracing()) {
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSiteState;
+    rec.detail = "recover";
+    EmitTrace(std::move(rec));
+  }
   env_.net->SetSiteUp(id_, true);
 
   // Storage restart first: the ARIES pass (analysis -> redo -> undo)
   // rebuilds the committed pages from the log before any protocol-level
   // recovery reads the store.
   RestartSummary rs = store_.Restart();
-  // Append-only trace line: tools grep the leading tokens by name.
-  Trace(TraceCategory::kSite,
-        StringPrintf("restart: analyzed=%zu in_doubt=%zu losers=%zu "
-                     "redo=%zu redo_skipped=%zu undo_clrs=%zu "
-                     "scanned=%zu redo_start=%llu quarantined=%zu",
-                     rs.analyzed_txns, rs.in_doubt, rs.losers,
-                     rs.redo_applied, rs.redo_skipped, rs.undo_clrs,
-                     rs.log_scanned,
-                     static_cast<unsigned long long>(rs.redo_start),
-                     rs.pages_quarantined));
+  if (tracing()) {
+    // Append-only tokens: tools grep the leading ones by name.
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kRestart;
+    rec.detail = StringPrintf(
+        "analyzed=%zu in_doubt=%zu losers=%zu redo=%zu redo_skipped=%zu "
+        "undo_clrs=%zu scanned=%zu redo_start=%llu quarantined=%zu",
+        rs.analyzed_txns, rs.in_doubt, rs.losers, rs.redo_applied,
+        rs.redo_skipped, rs.undo_clrs, rs.log_scanned,
+        static_cast<unsigned long long>(rs.redo_start), rs.pages_quarantined);
+    EmitTrace(std::move(rec));
+  }
 
   // One pass over the protocol log, in TxnId order; redo, the decision
   // cache, the in-doubt set and the unended decisions all derive from it.
@@ -269,7 +281,12 @@ void Site::Recover() {
       }
       wal_.Append(WalRecord::Protocol(WalRecordKind::kApplied, txn,
                             st.prepared_record.coordinator, {}, {}, false));
-      Trace(TraceCategory::kAcp, txn.ToString() + " redo-applied at recovery");
+      if (tracing()) {
+        TraceRecord rec;
+        rec.kind = TraceEventKind::kRedoApplied;
+        rec.txn = txn;
+        EmitTrace(std::move(rec));
+      }
     }
   }
   // Fresh volatile state (the CC engine seeds itself from the redone
@@ -281,8 +298,12 @@ void Site::Recover() {
   // Reinstate in-doubt (prepared, undecided) transactions.
   for (const auto& [txn, st] : scan) {
     if (!st.in_doubt()) continue;
-    Trace(TraceCategory::kAcp,
-          txn.ToString() + " reinstated in doubt after recovery");
+    if (tracing()) {
+      TraceRecord rec;
+      rec.kind = TraceEventKind::kReinstatedInDoubt;
+      rec.txn = txn;
+      EmitTrace(std::move(rec));
+    }
     participants_->ReinstateInDoubt(st.prepared_record, st.precommitted);
   }
   // Re-propagate decisions this site made as coordinator but never
@@ -452,8 +473,12 @@ void Site::HandleRefreshReply(const RefreshReply& r) {
     if (store_.AdoptIfNewer(e.item, e.value, e.version)) ++adopted;
   }
   if (adopted > 0) {
-    Trace(TraceCategory::kSite,
-          StringPrintf("refresh adopted %zu newer copies", adopted));
+    if (tracing()) {
+      TraceRecord rec;
+      rec.kind = TraceEventKind::kRefreshAdopted;
+      rec.arg = static_cast<int64_t>(adopted);
+      EmitTrace(std::move(rec));
+    }
     if (env_.config->cc == CcKind::kMultiversionTso) {
       auto* mvto = static_cast<MvtoManager*>(cc_.get());
       for (const auto& e : r.entries) {
@@ -528,7 +553,13 @@ void Site::StartCloser(TxnId txn, bool commit,
   for (SiteId p : participants) closer.pending.insert(p);
   if (closer.pending.empty()) {
     wal_.Append(WalRecord::Protocol(WalRecordKind::kEnd, txn, id_, {}, {}, false));
-    Trace(TraceCategory::kAcp, txn.ToString() + " fully acknowledged (end)");
+    if (tracing()) {
+      TraceRecord rec;
+      rec.kind = TraceEventKind::kCloserDone;
+      rec.txn = txn;
+      rec.arg = 1;
+      EmitTrace(std::move(rec));
+    }
     closers_.erase(it);
     return;
   }
@@ -552,8 +583,13 @@ void Site::OnCloserReply(TxnId txn, SiteId participant, bool ok) {
   closer.calls.erase(participant);
   if (!ok) {
     // Leave completion to the participants' own recovery machinery.
-    Trace(TraceCategory::kAcp,
-          txn.ToString() + " closer gave up resending (participant down)");
+    if (tracing()) {
+      TraceRecord rec;
+      rec.kind = TraceEventKind::kCloserDone;
+      rec.txn = txn;
+      rec.arg = 0;
+      EmitTrace(std::move(rec));
+    }
     for (auto& [s, call] : closer.calls) rpc_->Cancel(call);
     closers_.erase(it);
     return;
@@ -561,7 +597,13 @@ void Site::OnCloserReply(TxnId txn, SiteId participant, bool ok) {
   closer.pending.erase(participant);
   if (!closer.pending.empty()) return;
   wal_.Append(WalRecord::Protocol(WalRecordKind::kEnd, txn, id_, {}, {}, false));
-  Trace(TraceCategory::kAcp, txn.ToString() + " fully acknowledged (end)");
+  if (tracing()) {
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kCloserDone;
+    rec.txn = txn;
+    rec.arg = 1;
+    EmitTrace(std::move(rec));
+  }
   closers_.erase(it);
 }
 

@@ -51,7 +51,6 @@ class Site {
   struct Env {
     Simulator* sim = nullptr;
     Network* net = nullptr;
-    TraceLog* trace = nullptr;
     TraceCollector* collector = nullptr;  ///< structured per-txn tracing
     ProgressMonitor* monitor = nullptr;
     HistoryRecorder* history = nullptr;
@@ -114,7 +113,6 @@ class Site {
   const ProtocolConfig& config() const { return *env_.config; }
   SimTime Now() const;
   void SendTo(SiteId to, Payload payload);
-  void Trace(TraceCategory cat, const std::string& text);
 
   /// Structured tracing. Check tracing() BEFORE constructing a
   /// TraceRecord so disabled tracing costs one branch, no allocations.

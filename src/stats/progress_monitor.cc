@@ -208,7 +208,8 @@ std::string ProgressMonitor::RenderExecutionWindow(
   const std::vector<TraceRecord>& all = collector.records();
   size_t begin = (last_n == 0 || all.size() <= last_n) ? 0
                                                        : all.size() - last_n;
-  TablePrinter t({"time_us", "txn", "site", "event", "item", "detail"});
+  TablePrinter t(
+      {"time_us", "txn", "site", "event", "item", "peer", "arg", "detail"});
   for (size_t i = begin; i < all.size(); ++i) {
     const TraceRecord& r = all[i];
     t.AddRow({r.time, r.txn.valid() ? r.txn.ToString() : std::string("-"),
@@ -217,7 +218,9 @@ std::string ProgressMonitor::RenderExecutionWindow(
               TraceEventKindName(r.kind),
               r.item == kInvalidItem ? std::string("-")
                                      : std::to_string(r.item),
-              r.detail});
+              r.peer == kInvalidSite ? std::string("-")
+                                     : std::to_string(r.peer),
+              r.arg, r.detail});
   }
   std::ostringstream os;
   os << "execution window (" << (all.size() - begin) << " of " << all.size()

@@ -55,7 +55,7 @@ TEST(ConfigTest, TextRoundTrip) {
   SystemConfig cfg;
   cfg.seed = 777;
   cfg.num_sites = 5;
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   cfg.latency.distribution = LatencyDistribution::kExponential;
   cfg.latency.mean = Millis(7);
   cfg.latency.regions = {0, 0, 1, 1, 1};
@@ -87,7 +87,7 @@ TEST(ConfigTest, TextRoundTrip) {
 
   EXPECT_EQ(parsed->seed, 777u);
   EXPECT_EQ(parsed->num_sites, 5u);
-  EXPECT_TRUE(parsed->enable_trace);
+  EXPECT_TRUE(parsed->trace_enabled);
   EXPECT_EQ(parsed->latency.distribution, LatencyDistribution::kExponential);
   EXPECT_EQ(parsed->latency.mean, Millis(7));
   EXPECT_EQ(parsed->latency.regions, (std::vector<int>{0, 0, 1, 1, 1}));
@@ -120,7 +120,6 @@ SystemConfig RandomConfig(Rng& rng) {
   SystemConfig cfg;
   cfg.seed = rng.Next();
   cfg.num_sites = static_cast<uint32_t>(rng.NextInt(1, 8));
-  cfg.enable_trace = rng.NextBool(0.5);
   cfg.record_history = rng.NextBool(0.5);
   cfg.stats_bucket = Millis(rng.NextInt(1, 1000));
   cfg.trace_enabled = rng.NextBool(0.5);
@@ -289,7 +288,7 @@ TEST(ConfigTest, SimShardsKeyLoadsButOnlyOneValidates) {
   std::string saved = base.ToText();
   EXPECT_EQ(saved.find("sim_shards"), std::string::npos);
   std::string old_text = saved;
-  old_text.insert(old_text.find("enable_trace"), "sim_shards = 1\n");
+  old_text.insert(old_text.find("record_history"), "sim_shards = 1\n");
   auto old_cfg = SystemConfig::FromText(old_text);
   ASSERT_TRUE(old_cfg.ok()) << old_cfg.status();
   EXPECT_EQ(old_cfg->sim_shards, 1u);
@@ -300,7 +299,7 @@ TEST(ConfigTest, SimShardsKeyLoadsButOnlyOneValidates) {
   EXPECT_EQ(reparsed->ToText(), saved);
 
   std::string sharded_text = saved;
-  sharded_text.insert(sharded_text.find("enable_trace"), "sim_shards = 4\n");
+  sharded_text.insert(sharded_text.find("record_history"), "sim_shards = 4\n");
   auto sharded = SystemConfig::FromText(sharded_text);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
   Status v = sharded->Validate();
@@ -336,6 +335,36 @@ TEST(ConfigTest, StorageEngineKeyLoadsPageAndRejectsMap) {
   EXPECT_NE(map_cfg.status().message().find("map engine was removed"),
             std::string::npos)
       << map_cfg.status();
+}
+
+TEST(ConfigTest, EnableTraceKeyLoadsFalseAndRejectsTrue) {
+  // Saved configs (both shipped ones among them) carry
+  // "enable_trace = false"; they must still load and re-save to a fixed
+  // point. The string trace log it switched on is gone, so asking for
+  // it is an error that names the typed trace's key.
+  SystemConfig base;
+  base.AddUniformItems(4, 10, 3);
+  std::string saved = base.ToText();
+  EXPECT_EQ(saved.find("enable_trace"), std::string::npos);
+  std::string old_text = saved;
+  old_text.insert(old_text.find("record_history"), "enable_trace = false\n");
+  auto old_cfg = SystemConfig::FromText(old_text);
+  ASSERT_TRUE(old_cfg.ok()) << old_cfg.status();
+  EXPECT_TRUE(old_cfg->Validate().ok());
+  EXPECT_FALSE(old_cfg->trace_enabled);
+  EXPECT_EQ(old_cfg->ToText(), saved);
+  auto reparsed = SystemConfig::FromText(old_cfg->ToText());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(reparsed->ToText(), saved);
+
+  std::string on_text = saved;
+  on_text.insert(on_text.find("record_history"), "enable_trace = true\n");
+  auto on_cfg = SystemConfig::FromText(on_text);
+  ASSERT_FALSE(on_cfg.ok());
+  EXPECT_EQ(on_cfg.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(on_cfg.status().message().find("trace_enabled"),
+            std::string::npos)
+      << on_cfg.status();
 }
 
 TEST(ConfigTest, ValidateRejectsNonPositiveStatsBucket) {

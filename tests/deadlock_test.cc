@@ -41,7 +41,7 @@ class EdgeChasingTest : public ::testing::Test {
     cfg.num_sites = 2;
     cfg.latency.distribution = LatencyDistribution::kFixed;
     cfg.latency.mean = Millis(1);
-    cfg.enable_trace = true;
+    cfg.trace_enabled = true;
     cfg.protocols.deadlock = DeadlockPolicy::kEdgeChasing;
     cfg.protocols.probe_delay = Millis(5);
     // Long fallback timeouts: if probes fail, the test's own deadline
@@ -106,6 +106,16 @@ TEST_F(EdgeChasingTest, ResolvesDistributedCycle) {
             0u);
   EXPECT_GT(
       net.by_kind[static_cast<size_t>(MessageKind::kDeadlockProbeCheck)], 0u);
+  // The blocked participants traced the probes they sent, and the victim's
+  // abort names the probe.
+  EXPECT_GT(s.collector().CountKind(TraceEventKind::kDeadlockProbes), 0u);
+  size_t probe_aborts = 0;
+  for (const TraceRecord& r : s.collector().records()) {
+    probe_aborts += r.kind == TraceEventKind::kTxnAbort &&
+                    r.detail.find("deadlock detected by probe") !=
+                        std::string::npos;
+  }
+  EXPECT_GE(probe_aborts, 1u);
   // Locks were released: a follow-up transaction touching both items
   // commits quickly.
   bool follow_up = false;

@@ -10,7 +10,8 @@ namespace {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : net_(&sim_, TestLatency(), Rng(7), &trace_) {
+  NetworkTest() : net_(&sim_, TestLatency(), Rng(7)) {
+    net_.set_collector(&trace_);
     for (SiteId s = 0; s < 4; ++s) {
       net_.RegisterHandler(s, [this, s](const Message& m) {
         received_[s].push_back(m);
@@ -29,7 +30,7 @@ class NetworkTest : public ::testing::Test {
   }
 
   Simulator sim_;
-  TraceLog trace_;
+  TraceCollector trace_;  // off unless a test raises its detail
   Network net_;
   std::map<SiteId, std::vector<Message>> received_;
 };
@@ -170,16 +171,22 @@ TEST_F(NetworkTest, OneWayLinkSeversOnlyOneDirection) {
 
 TEST_F(NetworkTest, LinkDownDropInFlightIsTraced) {
   // Regression: the kLinkDown branch in Deliver() counted the drop but
-  // never wrote the human-readable trace record, so a message that was
-  // in flight when the link went down vanished from `--trace net`.
-  trace_.set_enabled(true);
+  // never traced it, so a message that was in flight when the link went
+  // down vanished from the trace.
+  trace_.set_detail(TraceDetail::kFull);
   net_.Send(0, 1, Ack{TxnId{0, 1}});
   sim_.After(Micros(500), [&] { net_.SetLinkUpOneWay(0, 1, false); });
   sim_.RunToQuiescence();
   EXPECT_TRUE(received_[1].empty());
   EXPECT_EQ(net_.stats().dropped[static_cast<size_t>(DropCause::kLinkDown)],
             1u);
-  EXPECT_EQ(trace_.CountContaining("DROP(link down)"), 1u);
+  ASSERT_EQ(trace_.CountKind(TraceEventKind::kMsgDrop), 1u);
+  for (const TraceRecord& r : trace_.records()) {
+    if (r.kind != TraceEventKind::kMsgDrop) continue;
+    EXPECT_EQ(r.detail, "Ack link_down");
+    EXPECT_EQ(r.site, 1u);
+    EXPECT_EQ(r.peer, 0u);
+  }
 }
 
 TEST_F(NetworkTest, InjectedDuplicateGetsItsOwnNetworkId) {

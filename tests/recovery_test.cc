@@ -723,10 +723,11 @@ size_t CountStoreKind(const Wal& wal, WalRecordKind kind) {
   return n;
 }
 
-/// The "restart: ..." trace line the recovering site emits, or "".
-std::string RestartTraceLine(RainbowSystem& s, SiteId site) {
-  for (const auto& ev : s.trace().events()) {
-    if (ev.site == site && ev.text.rfind("restart:", 0) == 0) return ev.text;
+/// The detail ("analyzed=... quarantined=...") of the restart record the
+/// recovering site emits, or "".
+std::string RestartDetail(RainbowSystem& s, SiteId site) {
+  for (const TraceRecord& r : s.collector().records()) {
+    if (r.site == site && r.kind == TraceEventKind::kRestart) return r.detail;
   }
   return "";
 }
@@ -737,7 +738,7 @@ TEST(RecoveryTest, RedoRestoresCommittedWritesLostWithThePool) {
   // rebuild the page from the log (the trace reports redo > 0), and the
   // page must carry the committed value before refresh even runs.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   auto sys = RainbowSystem::Create(cfg);
   ASSERT_TRUE(sys.ok());
   RainbowSystem& s = **sys;
@@ -759,7 +760,7 @@ TEST(RecoveryTest, RedoRestoresCommittedWritesLostWithThePool) {
   s.RecoverSite(1);
   s.RunFor(Millis(100));
 
-  std::string line = RestartTraceLine(s, 1);
+  std::string line = RestartDetail(s, 1);
   ASSERT_FALSE(line.empty()) << "recovery did not run the restart pass";
   EXPECT_EQ(line.find("redo=0 "), std::string::npos) << line;
   EXPECT_EQ(s.site(1)->store().Get(3)->value, 777);
@@ -777,7 +778,7 @@ TEST(RecoveryTest, CrashSweepAlwaysRestartsCleanAndSometimesUndoes) {
   for (SimTime crash_at = Millis(1); crash_at <= Millis(12);
        crash_at += Micros(500)) {
     SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-    cfg.enable_trace = true;
+    cfg.trace_enabled = true;
     auto sys = RainbowSystem::Create(cfg);
     ASSERT_TRUE(sys.ok());
     RainbowSystem& s = **sys;
@@ -791,7 +792,7 @@ TEST(RecoveryTest, CrashSweepAlwaysRestartsCleanAndSometimesUndoes) {
             .ok());
     s.RunFor(Seconds(3));
 
-    std::string line = RestartTraceLine(s, 1);
+    std::string line = RestartDetail(s, 1);
     ASSERT_FALSE(line.empty()) << "crash_at=" << crash_at;
     ++restarts_seen;
     if (line.find("losers=0") == std::string::npos) {
@@ -817,7 +818,7 @@ TEST(RecoveryTest, ProtocolLogRedoInstallsDecidedButUnappliedWrite) {
   // no peer can repair the copy instead.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit,
                                         RcpKind::kRowa);
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   cfg.protocols.recovery_refresh = false;
   const TxnProgram program{{Op::Write(3, 321)}, ""};
 
@@ -828,10 +829,9 @@ TEST(RecoveryTest, ProtocolLogRedoInstallsDecidedButUnappliedWrite) {
     ASSERT_TRUE(sys.ok());
     ASSERT_TRUE((*sys)->Submit(0, program, nullptr).ok());
     (*sys)->RunFor(Millis(100));
-    for (const auto& ev : (*sys)->trace().events()) {
-      if (ev.site == 0 &&
-          ev.text.find("decision: COMMIT") != std::string::npos) {
-        decided_at = ev.time;
+    for (const TraceRecord& r : (*sys)->collector().records()) {
+      if (r.site == 0 && r.kind == TraceEventKind::kDecision && r.arg == 1) {
+        decided_at = r.time;
       }
     }
   }
@@ -859,11 +859,8 @@ TEST(RecoveryTest, ProtocolLogRedoInstallsDecidedButUnappliedWrite) {
   EXPECT_EQ(s.site(0)->store().Get(3)->version,
             s.site(1)->store().Get(3)->version);
   bool redo_traced = false;
-  for (const auto& ev : s.trace().events()) {
-    if (ev.site == 0 &&
-        ev.text.find("redo-applied at recovery") != std::string::npos) {
-      redo_traced = true;
-    }
+  for (const TraceRecord& r : s.collector().records()) {
+    redo_traced |= r.site == 0 && r.kind == TraceEventKind::kRedoApplied;
   }
   EXPECT_TRUE(redo_traced);
   for (const auto& [txn, st] : s.site(0)->wal().Scan()) {
@@ -1047,7 +1044,7 @@ TEST(RecoveryTest, StorageFaultsDuringWorkloadStayInvisible) {
   // injector, a crash while armed, and recovery — with checksums on,
   // the doublewrite heals every mangled page and replicas converge.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   cfg.AddFullyReplicatedItems(20, 100);  // 30 items total: the tree
   cfg.protocols.page_size = 64;          // spans ~2x the pool, so every
   cfg.protocols.buffer_pool_pages = 8;   // txn causes real evictions

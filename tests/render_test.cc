@@ -1,6 +1,9 @@
 // Coverage of the human-facing rendering surfaces: name functions for
 // every enum, ToString forms, tables, CSV, charts, network stats.
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "cc/cc_engine.h"
@@ -49,11 +52,11 @@ TEST(NamesTest, EveryEnumValueHasAName) {
                  AcpState::kAborted}) {
     EXPECT_STRNE(AcpStateName(s), "?");
   }
-  for (auto c :
-       {TraceCategory::kTxn, TraceCategory::kRcp, TraceCategory::kCcp,
-        TraceCategory::kAcp, TraceCategory::kNet, TraceCategory::kFault,
-        TraceCategory::kSite, TraceCategory::kGeneral}) {
-    EXPECT_STRNE(TraceCategoryName(c), "?");
+  std::set<std::string> kind_names;
+  for (int k = 0; k < static_cast<int>(TraceEventKind::kCount); ++k) {
+    const char* name = TraceEventKindName(static_cast<TraceEventKind>(k));
+    EXPECT_STRNE(name, "?") << k;
+    EXPECT_TRUE(kind_names.insert(name).second) << "duplicate " << name;
   }
 }
 
@@ -180,28 +183,6 @@ TEST(NetworkStatsTest, RenderListsPerSiteDeliveriesInSiteOrder) {
   size_t s2 = tail.find("s2="), s5 = tail.find("s5="), s7 = tail.find("s7=");
   EXPECT_LT(s2, s5);
   EXPECT_LT(s5, s7);
-}
-
-TEST(TraceLogTest, CapacityBounded) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.set_capacity(10);
-  for (int i = 0; i < 100; ++i) {
-    log.Record(i, TraceCategory::kGeneral, 0, "e" + std::to_string(i));
-  }
-  EXPECT_LE(log.events().size(), 10u);
-  // The newest events survive.
-  EXPECT_EQ(log.events().back().text, "e99");
-}
-
-TEST(TraceLogTest, CategoryFilteredRender) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.Record(1, TraceCategory::kNet, 0, "netline");
-  log.Record(2, TraceCategory::kTxn, 1, "txnline");
-  std::string net_only = log.Render(TraceCategory::kNet);
-  EXPECT_NE(net_only.find("netline"), std::string::npos);
-  EXPECT_EQ(net_only.find("txnline"), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // registered on the shared network under an unused site id so tests can
 // inject raw protocol messages and capture the replies.
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -256,26 +258,36 @@ TEST_F(SiteTest, HearingFromSiteClearsSuspicion) {
 
 TEST_F(SiteTest, TraceRecordsProtocolFlow) {
   SystemConfig cfg = BaseConfig();
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   Build(cfg);
   ASSERT_TRUE(
       sys_->Submit(0, TxnProgram{{Op::Increment(1, 5)}, ""}, nullptr).ok());
   sys_->RunFor(Millis(100));
-  const TraceLog& trace = sys_->trace();
-  EXPECT_GT(trace.CountContaining("arrived"), 0u);
-  EXPECT_GT(trace.CountContaining("read quorum"), 0u);
-  EXPECT_GT(trace.CountContaining("write quorum"), 0u);
-  EXPECT_GT(trace.CountContaining("prepare ->"), 0u);
-  EXPECT_GT(trace.CountContaining("voted YES"), 0u);
-  EXPECT_GT(trace.CountContaining("decision: COMMIT"), 0u);
-  EXPECT_GT(trace.CountContaining("fully acknowledged"), 0u);
-  // The rendered trace is non-empty and mentions the txn.
-  EXPECT_NE(trace.Render().find("T1@0"), std::string::npos);
+  const TraceCollector& trace = sys_->collector();
+  // Records of `kind` with the given detail and, when set, arg.
+  auto count = [&](TraceEventKind kind, const std::string& detail,
+                   std::optional<int64_t> arg = std::nullopt) {
+    size_t n = 0;
+    for (const TraceRecord& r : trace.records()) {
+      n += r.kind == kind && r.detail == detail && (!arg || r.arg == *arg);
+    }
+    return n;
+  };
+  EXPECT_GT(trace.CountKind(TraceEventKind::kTxnSubmit), 0u);
+  EXPECT_GT(count(TraceEventKind::kQuorumPlan, "read"), 0u);
+  EXPECT_GT(count(TraceEventKind::kQuorumPlan, "write"), 0u);
+  EXPECT_GT(trace.CountKind(TraceEventKind::kPrepare), 0u);
+  EXPECT_GT(count(TraceEventKind::kVote, "", 1), 0u);
+  EXPECT_GT(count(TraceEventKind::kDecision, "", 1), 0u);
+  EXPECT_GT(count(TraceEventKind::kCloserDone, "", 1), 0u);
+  // The rendered execution window mentions the txn.
+  EXPECT_NE(ProgressMonitor::RenderExecutionWindow(trace, 0).find("T1@0"),
+            std::string::npos);
 }
 
 TEST_F(SiteTest, ReadOwnWriteServedFromBuffer) {
   SystemConfig cfg = BaseConfig();
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   Build(cfg);
   TxnOutcome outcome;
   bool done = false;
@@ -295,7 +307,11 @@ TEST_F(SiteTest, ReadOwnWriteServedFromBuffer) {
   EXPECT_EQ(outcome.reads[1], 1234);
   EXPECT_EQ(sys_->LatestCommitted(4)->value, 1235);
   // Only ONE read quorum was ever built (none: both reads were local).
-  EXPECT_EQ(sys_->trace().CountContaining("read quorum"), 0u);
+  size_t read_quorums = 0;
+  for (const TraceRecord& r : sys_->collector().records()) {
+    read_quorums += r.kind == TraceEventKind::kQuorumPlan && r.detail == "read";
+  }
+  EXPECT_EQ(read_quorums, 0u);
 }
 
 TEST_F(SiteTest, ReadOnlyOptimizationSkipsPhaseTwo) {

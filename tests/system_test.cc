@@ -167,10 +167,9 @@ TEST(SystemTest, ClassroomSessionLeavesProtocolLogsQuiescent) {
 }
 
 /// Everything observable from one traced run with scans and per-site
-/// clients: the text trace, structured records, session log, committed
-/// history and network totals.
+/// clients: the rendered trace records, session log, committed history
+/// and network totals.
 struct RunArtifacts {
-  std::string trace;
   std::string records;
   std::string session_log;
   std::string history;
@@ -184,7 +183,6 @@ RunArtifacts RunScanWorkload(uint64_t seed) {
   SystemConfig cfg;
   cfg.seed = seed;
   cfg.num_sites = 8;
-  cfg.enable_trace = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kFull;
   cfg.record_history = true;
@@ -213,7 +211,6 @@ RunArtifacts RunScanWorkload(uint64_t seed) {
   EXPECT_EQ(wlg.completed(), 96u);
 
   RunArtifacts a;
-  a.trace = s.trace().Render();
   a.records = ProgressMonitor::RenderExecutionWindow(s.collector(), 0);
   a.session_log = s.monitor().RenderSessionLog();
   a.history = RenderHistory(s.history().transactions());
@@ -239,7 +236,6 @@ TEST(SystemTest, SameSeedScanWorkloadIsByteIdentical) {
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.session_log, b.session_log);
   EXPECT_EQ(a.history, b.history);
-  EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.records, b.records);
 }
 
